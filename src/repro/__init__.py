@@ -106,7 +106,7 @@ from .traffic import (
     sweep_offered_load,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.7.1"
 
 #: Authoritative public surface: `import *`, the docs' API reference,
 #: and tests/test_public_api.py all derive from this list.

@@ -21,8 +21,9 @@ Range accesses (``load_range`` / ``store_range``) have a batched fast
 path that walks a whole contiguous scan in one call: the byte range is
 chunked per TLB page (one real TLB access per chunk — the per-line
 re-hits only bump the access counter), each chunk's lines go through
-:meth:`Cache._access_run` in one pass, and only the missed lines consult
-L2/memory, in the same per-line order the scalar path would.  Stall
+:meth:`Cache._access_run` in one pass, and the missed lines propagate
+down as an ascending batch: L2 probes once per L2 line and RDRAM checks
+one bank per page (see :meth:`MemoryHierarchy._consult_lower`).  Stall
 picoseconds and statistics accumulate in locals and commit once per
 call, so results — every counter and every stall sum — are bit-identical
 to the per-line path.  The scalar path survives as the reference
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..sim.units import Clock
-from .cache import HIT, WRITEBACK, Cache, CacheConfig
+from .cache import Cache, CacheConfig
 from .rdram import Rdram, RdramConfig
 from .tlb import TLB, TLBConfig
 
@@ -88,16 +89,18 @@ class MemoryHierarchy:
         if batched is None:
             batched = not os.environ.get("REPRO_MEM_PERLINE")
         self.batched = batched
-        # timing and clock are immutable; precompute the L2-hit stall.
+        # timing, clock and the memory geometry are immutable; precompute
+        # the three fill latencies an L1 miss can cost: an L2 hit, and a
+        # memory page hit or page miss for each L1's line size.
         self._l2_hit_ps = clock.cycles(timing.l2_hit_stall_cycles)
-        # The strided fast path reports missed addresses aligned down to
-        # the L1 line; that is invisible to the lower levels only when
-        # every lower-level granularity is a multiple of the L1 line.
-        line = l1d.config.line_size
-        self._stride_batchable = (
-            memory.config.page_size % line == 0
-            and (l2 is None or l2.config.line_size % line == 0)
-            and (dtlb is None or dtlb.config.page_size % line == 0))
+        self._memory_ps = {l1: memory.line_ps(l1.config.line_size)
+                           for l1 in (l1d, l1i)}
+        overlap = timing.store_overlap_factor
+        self._scan_ps = {
+            False: (self._l2_hit_ps, *self._memory_ps[l1d]),
+            True: (round(self._l2_hit_ps * overlap),
+                   *(round(ps * overlap) for ps in self._memory_ps[l1d])),
+        }
         #: Accumulated stall picoseconds, by cause.
         self.load_stall_ps = 0
         self.store_stall_ps = 0
@@ -108,19 +111,61 @@ class MemoryHierarchy:
     # Internal walk
     # ------------------------------------------------------------------
     def _fill(self, l1: Cache, addr: int, write: bool) -> int:
-        """Stall ps for an access through ``l1`` (data or instruction)."""
-        if l1._access(addr, write) & HIT:
+        """Stall ps for one reference through ``l1`` (data or instruction).
+
+        :meth:`Cache._access` on L1 and L2 and :meth:`Rdram.access`,
+        inlined into one call: every scalar ``load``/``store``/``ifetch``
+        and every page-table-walk reference runs it.
+        """
+        line = addr >> l1._line_shift
+        lines = l1._sets[line & l1._set_mask]
+        tag = line >> l1._tag_shift
+        stats = l1.stats
+        stats.accesses += 1
+        if tag in lines:
+            stats.hits += 1
+            # pop + re-insert moves the tag to the MRU position.
+            lines[tag] = lines.pop(tag) or write
             return 0
+        stats.misses += 1
+        if len(lines) >= l1.config.assoc:
+            stats.evictions += 1
+            if lines.pop(next(iter(lines))):
+                stats.writebacks += 1
+        lines[tag] = write
+        memory = self.memory
         l2 = self.l2
         if l2 is not None:
-            code = l2._access(addr, write)
-            if code & WRITEBACK:
-                # Write-back to memory happens off the critical path.
-                self.memory.stream(l2.config.line_size)
-            if code & HIT:
+            line = addr >> l2._line_shift
+            lines = l2._sets[line & l2._set_mask]
+            tag = line >> l2._tag_shift
+            stats = l2.stats
+            stats.accesses += 1
+            if tag in lines:
+                stats.hits += 1
+                lines[tag] = lines.pop(tag) or write
                 return self._l2_hit_ps
+            stats.misses += 1
+            if len(lines) >= l2.config.assoc:
+                stats.evictions += 1
+                if lines.pop(next(iter(lines))):
+                    stats.writebacks += 1
+                    # Write-back to memory happens off the critical path.
+                    memory.stream(l2.config.line_size)
+            lines[tag] = write
         # Miss to memory: stall until the first double-word arrives.
-        return self.memory.access(addr, nbytes=l1.config.line_size)
+        page = addr >> memory._page_shift
+        open_pages = memory._open_pages
+        bank = page % len(open_pages)
+        stats = memory.stats
+        stats.accesses += 1
+        stats.bytes_transferred += l1.config.line_size
+        if open_pages[bank] == page:
+            stats.page_hits += 1
+            return self._memory_ps[l1][0]
+        stats.page_misses += 1
+        open_pages[bank] = page
+        return self._memory_ps[l1][1]
 
     def _translate(self, tlb: Optional[TLB], addr: int) -> int:
         """Stall ps for address translation (0 on TLB hit)."""
@@ -169,154 +214,112 @@ class MemoryHierarchy:
 
     def load_range(self, addr: int, nbytes: int) -> int:
         """Sequential loads touching every line of a byte range."""
-        if self.batched:
-            return self._scan_range(addr, nbytes, write=False)
-        line = self.l1d.config.line_size
-        stall = 0
-        first = addr - (addr % line)
-        for line_addr in range(first, addr + nbytes, line):
-            stall += self.load(line_addr)
-        return stall
+        return self._scan(*self._lines(addr, nbytes), write=False)
 
     def store_range(self, addr: int, nbytes: int) -> int:
         """Sequential stores touching every line of a byte range."""
-        if self.batched:
-            return self._scan_range(addr, nbytes, write=True)
-        line = self.l1d.config.line_size
-        stall = 0
-        first = addr - (addr % line)
-        for line_addr in range(first, addr + nbytes, line):
-            stall += self.store(line_addr)
-        return stall
+        return self._scan(*self._lines(addr, nbytes), write=True)
 
     def load_stride(self, addr: int, stride: int, count: int) -> int:
         """``count`` loads at ``addr, addr+stride, ...`` (record scans)."""
-        if self.batched and self._stride_batchable and stride > 0:
-            return self._scan_stride(addr, stride, count, write=False)
-        stall = 0
-        for i in range(count):
-            stall += self.load(addr + i * stride)
-        return stall
+        return self._scan(addr, stride, count, write=False)
 
     def store_stride(self, addr: int, stride: int, count: int) -> int:
         """``count`` stores at ``addr, addr+stride, ...``."""
-        if self.batched and self._stride_batchable and stride > 0:
-            return self._scan_stride(addr, stride, count, write=True)
-        stall = 0
-        for i in range(count):
-            stall += self.store(addr + i * stride)
-        return stall
+        return self._scan(addr, stride, count, write=True)
+
+    def _lines(self, addr: int, nbytes: int):
+        """``(first line address, line size, line count)`` of a byte range.
+
+        An empty range has no lines, wherever it starts.
+        """
+        line = self.l1d.config.line_size
+        first = addr - addr % line
+        count = (addr + nbytes - first + line - 1) // line if nbytes > 0 else 0
+        return first, line, count
+
+    def _scan(self, addr: int, stride: int, count: int, write: bool) -> int:
+        """Stall ps for ``count`` accesses at ``addr, addr+stride, ...``.
+
+        The batched path, bit-identical to the scalar loop it falls back
+        to when ``batched`` is off or the stride is not positive.  The
+        accesses are chunked per TLB page: one real TLB access covers
+        each chunk, because the chunk's other accesses are hits that only
+        move an already-MRU entry, so they collapse to an access-counter
+        bump.  The page-table walk on a miss goes through the caches
+        before the chunk's own L1 accesses, exactly as the scalar path
+        orders it.  The chunk's L1 pass is one :meth:`Cache._access_run`
+        (a byte range: line-aligned at line stride) or
+        :meth:`Cache._access_ascending`, and its missed lines go down
+        through :meth:`_consult_lower`.
+        """
+        if count <= 0:
+            return 0
+        if not self.batched or stride <= 0:
+            access = self.store if write else self.load
+            stall = 0
+            for i in range(count):
+                stall += access(addr + i * stride)
+            return stall
+        l1d = self.l1d
+        run = stride == l1d.config.line_size and addr % stride == 0
+        tlb = self.dtlb
+        tlb_stall = 0
+        tlb_hits = 0
+        fill_stall = 0
+        while count:
+            if tlb is not None:
+                page_size = tlb.config.page_size
+                page_end = (addr // page_size + 1) * page_size
+                chunk = min(count, -(-(page_end - addr) // stride))
+                tlb_stall += self._translate(tlb, addr)
+                tlb_hits += chunk - 1
+            else:
+                chunk = count
+            if run:
+                missed, _ = l1d._access_run(addr, chunk, write=write)
+            else:
+                missed, _ = l1d._access_ascending(
+                    range(addr, addr + chunk * stride, stride), write=write)
+            fill_stall += self._consult_lower(missed, write)
+            addr += chunk * stride
+            count -= chunk
+        if tlb is not None:
+            tlb.stats.accesses += tlb_hits
+        self.tlb_stall_ps += tlb_stall
+        if write:
+            self.store_stall_ps += fill_stall
+        else:
+            self.load_stall_ps += fill_stall
+        return tlb_stall + fill_stall
 
     def _consult_lower(self, missed, write: bool) -> int:
-        """L2/memory stall for a batch of missed L1 lines, in order.
+        """L2/memory stall for one chunk's missed L1 lines.
 
-        Shared tail of the batched scans; store misses keep per-line
-        overlap rounding.
+        Shared tail of the batched scans.  ``missed`` ascends (a chunk's
+        lines are walked in address order), which makes two exact
+        shortcuts possible: L2 probes once per L2 line
+        (:meth:`Cache._access_ascending`) and RDRAM checks one bank per
+        page (:meth:`Rdram._access_ascending`).  Every missed line then
+        costs one of three latencies — L2 hit, page hit, page miss — so
+        the stall is a weighted sum; a store rounds each latency once by
+        the overlap factor, as the per-line path rounds each line.
         """
         l2 = self.l2
         memory = self.memory
-        line = self.l1d.config.line_size
-        overlap = self.timing.store_overlap_factor
-        stall = 0
         if l2 is None:
-            if write:
-                for maddr in missed:
-                    stall += round(memory.access(maddr, line) * overlap)
-            else:
-                for maddr in missed:
-                    stall += memory.access(maddr, line)
-            return stall
-        l2_hit_ps = self._l2_hit_ps
-        l2_line = l2.config.line_size
-        for maddr in missed:
-            code = l2._access(maddr, write=write)
-            if code & HIT:
-                ps = l2_hit_ps
-            else:
-                if code & WRITEBACK:
-                    # Off the critical path, bandwidth accounted.
-                    memory.stream(l2_line)
-                ps = memory.access(maddr, line)
-            stall += round(ps * overlap) if write else ps
-        return stall
-
-    def _scan_stride(self, addr: int, stride: int, count: int,
-                     write: bool) -> int:
-        """Batched strided scan, bit-identical to the scalar loop."""
-        if count <= 0:
-            return 0
-        l1d = self.l1d
-        tlb = self.dtlb
-        page_size = tlb.config.page_size if tlb is not None else 0
-        tlb_stall = 0
-        fill_stall = 0
-        pos = addr
-        remaining = count
-        while remaining:
-            if tlb is not None:
-                page_end = (pos // page_size + 1) * page_size
-                chunk = min(remaining, -(-(page_end - pos) // stride))
-                tlb_stall += self._translate(tlb, pos)
-                tlb.stats.accesses += chunk - 1
-            else:
-                chunk = remaining
-            missed, _ = l1d._access_stride(pos, stride, chunk, write=write)
-            fill_stall += self._consult_lower(missed, write)
-            pos += chunk * stride
-            remaining -= chunk
-        self.tlb_stall_ps += tlb_stall
-        if write:
-            self.store_stall_ps += fill_stall
+            fills = missed
         else:
-            self.load_stall_ps += fill_stall
-        return tlb_stall + fill_stall
-
-    def _scan_range(self, addr: int, nbytes: int, write: bool) -> int:
-        """Batched walk of every line in ``[addr, addr+nbytes)``.
-
-        Bit-identical to the scalar loop: the range is chunked per TLB
-        page, one real TLB access covers each chunk (the remaining
-        same-page accesses are hits that only move an already-MRU entry,
-        so they collapse to an access-counter bump), the L1 pass is one
-        :meth:`Cache._access_run`, and the missed lines consult L2 and
-        memory in ascending line order — the order the scalar path
-        produces.  Store misses keep the *per-line* overlap rounding.
-        """
-        l1d = self.l1d
-        line = l1d.config.line_size
-        first = addr - (addr % line)
-        end = addr + nbytes
-        count = (end - first + line - 1) // line if end > first else 0
-        if count <= 0:
-            return 0
-        tlb = self.dtlb
-        page_size = tlb.config.page_size if tlb is not None else 0
-        tlb_stall = 0
-        fill_stall = 0
-        pos = first
-        remaining = count
-        while remaining:
-            if tlb is not None:
-                page_end = (pos // page_size + 1) * page_size
-                chunk = min(remaining, (page_end - pos + line - 1) // line)
-                # One real translation covers the chunk; the page-table
-                # walk on a miss goes through the caches before the
-                # chunk's own L1 accesses, exactly as the scalar path
-                # orders it.
-                tlb_stall += self._translate(tlb, pos)
-                tlb.stats.accesses += chunk - 1
-            else:
-                chunk = remaining
-            missed, _ = l1d._access_run(pos, chunk, write=write)
-            fill_stall += self._consult_lower(missed, write)
-            pos += chunk * line
-            remaining -= chunk
-        self.tlb_stall_ps += tlb_stall
-        if write:
-            self.store_stall_ps += fill_stall
-        else:
-            self.load_stall_ps += fill_stall
-        return tlb_stall + fill_stall
+            fills, writebacks = l2._access_ascending(missed, write=write)
+            if writebacks:
+                # Off the critical path, bandwidth accounted.
+                memory.stream(writebacks * l2.config.line_size)
+        page_misses = memory._access_ascending(fills,
+                                               self.l1d.config.line_size)
+        l2_hit_ps, page_hit_ps, page_miss_ps = self._scan_ps[write]
+        return ((len(missed) - len(fills)) * l2_hit_ps
+                + (len(fills) - page_misses) * page_hit_ps
+                + page_misses * page_miss_ps)
 
     @property
     def total_stall_ps(self) -> int:

@@ -12,6 +12,7 @@ through memory (I/O buffers, message payloads).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Tuple
 
 from ..sim.units import ns, transfer_ps
 
@@ -59,10 +60,15 @@ class Rdram:
         self.stats = RdramStats()
         self._open_pages = [-1] * config.num_banks
         self._page_shift = config.page_size.bit_length() - 1
-        # Burst time is a pure function of nbytes; line fills use only a
-        # handful of sizes, so memoise instead of recomputing the float
-        # division + rounding on every access.
-        self._burst_ps: dict = {}
+
+    def line_ps(self, nbytes: int) -> Tuple[int, int]:
+        """``(page hit, page miss)`` latency of one ``nbytes`` access.
+
+        Both include the data burst; the memory hierarchy precomputes
+        them once for its line sizes.
+        """
+        burst = transfer_ps(nbytes, self.config.bandwidth_bytes_per_s)
+        return self.config.page_hit_ps + burst, self.config.page_miss_ps + burst
 
     def access(self, addr: int, nbytes: int = 128) -> int:
         """Latency of one line fill/writeback at ``addr``."""
@@ -80,11 +86,33 @@ class Rdram:
             self._open_pages[bank] = page
             latency = self.config.page_miss_ps
         # Data burst after the access latency.
-        burst = self._burst_ps.get(nbytes)
-        if burst is None:
-            burst = self._burst_ps[nbytes] = transfer_ps(
-                nbytes, self.config.bandwidth_bytes_per_s)
-        return latency + burst
+        return latency + transfer_ps(nbytes, self.config.bandwidth_bytes_per_s)
+
+    def _access_ascending(self, addrs: List[int], nbytes: int) -> int:
+        """``nbytes`` accesses at ascending ``addrs``; returns page misses.
+
+        Equivalent to :meth:`access` on each address in order, with the
+        statistics committed once.  Ascending addresses visit pages in
+        ascending order and never come back to one, so only the first
+        access in each page can find its bank on another page; every
+        other access in that page is a page hit.
+        """
+        open_pages = self._open_pages
+        num_banks = len(open_pages)
+        shift = self._page_shift
+        misses = 0
+        for page in dict.fromkeys([addr >> shift for addr in addrs]):
+            bank = page % num_banks
+            if open_pages[bank] != page:
+                open_pages[bank] = page
+                misses += 1
+        count = len(addrs)
+        stats = self.stats
+        stats.accesses += count
+        stats.page_hits += count - misses
+        stats.page_misses += misses
+        stats.bytes_transferred += count * nbytes
+        return misses
 
     def stream(self, nbytes: int) -> int:
         """Bandwidth-limited time for a large sequential transfer."""

@@ -190,6 +190,16 @@ def test_assoc_1_range_matches_scalar():
     assert batched._sets == scalar._sets
 
 
+@pytest.mark.parametrize("addr", [0, 5, 32])
+def test_zero_byte_range_touches_nothing(addr):
+    cache = make_cache()
+    assert cache.access_range(addr, 0) == (0, 0)
+    assert cache.access_range(addr, 0, write=True) == (0, 0)
+    assert cache.touch_range(addr, 0) == 0
+    assert cache.stats.accesses == 0
+    assert not cache.contains(addr)
+
+
 def test_stats_accumulate():
     cache = make_cache()
     cache.access(0x0)

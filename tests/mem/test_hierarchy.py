@@ -186,3 +186,22 @@ def test_stride_zero_count_is_noop():
     hier = build_host_hierarchy(HOST_CLOCK)
     assert hier.load_stride(0x1000, 100, 0) == 0
     assert hier.l1d.stats.accesses == 0
+
+
+# ----------------------------------------------------------------------
+# Zero-byte ranges touch nothing
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("build", [build_host_hierarchy,
+                                   build_switch_hierarchy])
+@pytest.mark.parametrize("batched", [True, False])
+@pytest.mark.parametrize("write", [False, True])
+@pytest.mark.parametrize("addr", [0x300000, 0x300007])
+def test_zero_byte_range_touches_nothing(build, batched, write, addr):
+    clock = HOST_CLOCK if build is build_host_hierarchy else SWITCH_CLOCK
+    hier = build(clock, batched=batched)
+    before = _state(hier)
+    op = hier.store_range if write else hier.load_range
+    assert op(addr, 0) == 0
+    assert _state(hier) == before
+    assert hier.l1d.stats.accesses == 0
+    assert hier.memory.stats.accesses == 0

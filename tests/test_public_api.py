@@ -25,7 +25,7 @@ PACKAGES = [
 
 
 def test_version():
-    assert repro.__version__ == "1.7.0"
+    assert repro.__version__ == "1.7.1"
 
 
 @pytest.mark.parametrize("package", PACKAGES)
