@@ -36,7 +36,7 @@ Quickstart::
     print(repro.serve(spec).report().latency())
 
 ``repro.run`` accepts any registered benchmark name, a ``StreamApp``
-subclass, or (for the old API) a factory callable; the canonical typed
+subclass, or a zero-argument factory callable; the canonical typed
 form bundles every knob in a frozen :class:`RunOptions`
 (``repro.run("grep", repro.RunOptions(parallel=4, cache=True))``) —
 see docs/api.md.  ``repro.serve`` is the open-loop analogue, driven by
@@ -50,7 +50,6 @@ from .cluster import (
     ReadStream,
     System,
     case_configs,
-    four_cases,
     get_preset,
 )
 from .faults import (
@@ -93,7 +92,7 @@ from .runner import (
     run,
     run_many,
 )
-from .sim import Environment, Tracer
+from .sim import Environment
 from .switch import ActiveSwitch, ActiveSwitchConfig, BaseSwitch
 from .traffic import (
     KneeSearch,
@@ -106,7 +105,7 @@ from .traffic import (
     sweep_offered_load,
 )
 
-__version__ = "1.7.1"
+__version__ = "2.0.0"
 
 #: Authoritative public surface: `import *`, the docs' API reference,
 #: and tests/test_public_api.py all derive from this list.
@@ -167,12 +166,9 @@ __all__ = [
     "write_chrome_trace",
     # Simulation kernel
     "Environment",
-    "Tracer",  # deprecated: superseded by repro.obs (see docs/observability.md)
     # Switch models
     "ActiveSwitch",
     "ActiveSwitchConfig",
     "BaseSwitch",
-    # Deprecated (warn-and-forward shims)
-    "four_cases",
     "__version__",
 ]

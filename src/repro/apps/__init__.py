@@ -1,6 +1,6 @@
 """The paper's nine benchmark applications."""
 
-from .base import BlockWork, StreamApp, finalize_case, run_four_cases
+from .base import BlockWork, StreamApp, finalize_case
 from .grep import GrepApp, LiteralMatcher
 from .hashjoin import HashJoinApp
 from .md5 import Md5App, md5_digest, md5_interleaved
@@ -20,7 +20,6 @@ __all__ = [
     "BlockWork",
     "StreamApp",
     "finalize_case",
-    "run_four_cases",
     "GrepApp",
     "LiteralMatcher",
     "HashJoinApp",

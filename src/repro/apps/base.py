@@ -32,14 +32,13 @@ Cost-model conventions (used by every app module):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..cluster.config import ClusterConfig
 from ..cluster.iostream import ReadStream
 from ..cluster.system import System
 from ..cpu.accounting import Breakdown
-from ..metrics.results import BenchmarkResult, CaseResult
-from ..sim.burst import fluid_requested
+from ..metrics.results import CaseResult
 from ..sim.resources import Store
 
 #: Cache-driving callable: gets the memory hierarchy, returns stall ps.
@@ -66,46 +65,6 @@ class BlockWork:
 
 def _stall(fn: Optional[StallFn], hierarchy) -> int:
     return fn(hierarchy) if fn is not None else 0
-
-
-class _StallSampler:
-    """Fluid-mode stall evaluation (``REPRO_SIM_FLUID=1``).
-
-    Driving the cache/TLB hierarchy with every block's reference
-    pattern dominates steady-state stream phases, yet after the caches
-    warm up each block's stall is nearly identical.  Fluid mode keeps
-    the *transitions* exact — the first/last :attr:`WARM` blocks of
-    every stream, plus every :attr:`STRIDE`-th block as a periodic
-    resample — and reuses the last measured stall for the blocks in
-    between, per stall channel (host / handler / active-host).  Busy
-    cycles are never approximated; only the cache-stall component is
-    sampled, which is what bounds the error (pinned by
-    tests/sim/test_fluid_mode.py, documented in docs/scaling.md).
-
-    Disabled (the default) it is a transparent pass-through, so the
-    exact paths share one call site.
-    """
-
-    WARM = 8
-    STRIDE = 16
-
-    def __init__(self, num_blocks: int, enabled: Optional[bool] = None):
-        self.enabled = fluid_requested() if enabled is None else enabled
-        self.num_blocks = num_blocks
-        self._last: Dict[str, int] = {}
-
-    def stall(self, channel: str, index: int,
-              fn: Optional[StallFn], hierarchy) -> int:
-        if fn is None:
-            return 0
-        if not self.enabled:
-            return fn(hierarchy)
-        if (index < self.WARM or index >= self.num_blocks - self.WARM
-                or index % self.STRIDE == 0 or channel not in self._last):
-            value = fn(hierarchy)
-            self._last[channel] = value
-            return value
-        return self._last[channel]
 
 
 class StreamApp:
@@ -159,12 +118,10 @@ class StreamApp:
         stream = ReadStream(system, host, total_bytes=self.total_bytes,
                             request_bytes=self.request_bytes, depth=depth,
                             to_switch=False, request_cost="os")
-        sampler = _StallSampler(len(self.blocks))
-        for index, work in enumerate(self.blocks):
+        for work in self.blocks:
             arrival = yield from stream.next_block()
             yield from stream.consume_fully(arrival)
-            stall = sampler.stall("host", index,
-                                  work.host_stall_fn, host.hierarchy)
+            stall = _stall(work.host_stall_fn, host.hierarchy)
             yield from host.cpu.work(work.host_cycles, stall)
             yield from stream.done_with(arrival)
 
@@ -179,7 +136,6 @@ class StreamApp:
                             request_bytes=self.request_bytes, depth=depth,
                             to_switch=True, request_cost="active")
         ready_for_host: Store = Store(env)
-        sampler = _StallSampler(len(self.blocks))
 
         def switch_stage(env):
             # The stream token returns when the handler has consumed the
@@ -187,27 +143,23 @@ class StreamApp:
             # drains the filtered output downstream.  This is what keeps
             # "both the host and switch CPU busy" in BOTH active cases —
             # the prefetch depth only bounds outstanding *disk* requests.
-            for index, work in enumerate(self.blocks):
+            for work in self.blocks:
                 arrival = yield from stream.next_block()
                 cpu_peek = system.switch_cpu_peek()
-                stall = sampler.stall("handler", index,
-                                      work.handler_stall_fn,
-                                      cpu_peek.hierarchy)
+                stall = _stall(work.handler_stall_fn, cpu_peek.hierarchy)
                 yield from system.process_on_switch(
                     work.handler_cycles, stall,
                     arrival_end_event=arrival.end_event,
                     arrival_end_ps=arrival.end_ps)
                 if work.out_bytes > 0:
                     yield from system.switch_to_host_bulk(host, work.out_bytes)
-                yield ready_for_host.put((index, work))
+                yield ready_for_host.put(work)
                 yield from stream.done_with(arrival)
 
         def host_stage(env):
             for _ in self.blocks:
-                index, work = yield ready_for_host.get()
-                stall = sampler.stall("active-host", index,
-                                      work.active_host_stall_fn,
-                                      host.hierarchy)
+                work = yield ready_for_host.get()
+                stall = _stall(work.active_host_stall_fn, host.hierarchy)
                 yield from host.cpu.work(work.active_host_cycles, stall)
 
         switch_proc = env.process(switch_stage(env), name=f"{self.name}-switch")
@@ -256,11 +208,6 @@ def finalize_case(system: System, label: str) -> CaseResult:
     if system.config.active:
         switch_breakdowns = [cpu.accounting.finalize(exec_ps)
                              for cpu in system.switch.cpus]
-    extra = system.reliability_report()
-    if fluid_requested():
-        # Provenance: approximate-mode results must never be mistaken
-        # for (or cached as) exact ones.
-        extra["fluid_mode"] = 1.0
     return CaseResult(
         label=label,
         exec_ps=exec_ps,
@@ -270,24 +217,6 @@ def finalize_case(system: System, label: str) -> CaseResult:
         host_bytes_out=host.hca.traffic.bytes_out,
         # Empty on a perfect fabric, so fault-free results are
         # byte-identical to the pre-reliability ones.
-        extra=extra,
+        extra=system.reliability_report(),
     )
 
-
-def run_four_cases(app_factory: Callable[[], StreamApp],
-                   name: Optional[str] = None) -> BenchmarkResult:
-    """Deprecated alias of :func:`repro.run`.
-
-    .. deprecated:: 1.1
-       Use ``repro.run(app, ...)`` — it accepts the same factory
-       callables, and registered names/classes additionally get
-       parallel execution and result caching.
-    """
-    import warnings
-    warnings.warn(
-        "run_four_cases() is deprecated; use repro.run(app, ...) — it "
-        "returns the same result object and adds parallel/cached "
-        "execution for registered apps",
-        DeprecationWarning, stacklevel=2)
-    from ..runner.api import run
-    return run(app_factory, name=name)

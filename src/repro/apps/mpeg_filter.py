@@ -82,9 +82,6 @@ class MpegFilterApp(StreamApp):
             cursor_in += nbytes
             cursor_out += i_bytes
 
-            def filter_stall(hierarchy, addr=in_base, size=nbytes):
-                return hierarchy.load_range(addr, size)
-
             def reduce_stall(hierarchy, addr=out_base, size=i_bytes):
                 # Output stores of the re-encoded mono frame.
                 return hierarchy.store_range(addr, size) if size else 0

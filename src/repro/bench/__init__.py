@@ -229,8 +229,7 @@ def run_service_bench(specs=None, progress=None,
         specs = service_grid()
     cells: Dict[str, dict] = {}
     apps: Dict[str, dict] = {}
-    saved = {name: os.environ.pop(name, None)
-             for name in ("REPRO_SIM_PERBLOCK", "REPRO_SIM_FLUID")}
+    saved = os.environ.pop("REPRO_SIM_PERBLOCK", None)
 
     def timed(spec, prebuilt, perblock):
         if perblock:
@@ -275,11 +274,10 @@ def run_service_bench(specs=None, progress=None,
                 progress(f"{key}: {wall_s:.2f}s burst, {perblock_s:.2f}s "
                          f"per-block ({perblock_s / wall_s:.1f}x)")
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if saved is None:
+            os.environ.pop("REPRO_SIM_PERBLOCK", None)
+        else:
+            os.environ["REPRO_SIM_PERBLOCK"] = saved
     return {"cells": cells, "apps": apps}
 
 

@@ -1,7 +1,7 @@
 """Cluster assembly: configuration, nodes, system builder, I/O streams,
 multi-stage fabrics, and handler placement."""
 
-from .config import CASE_ORDER, ClusterConfig, case_configs, four_cases
+from .config import CASE_ORDER, ClusterConfig, case_configs
 from .fabric import FabricPartitioned, FtStats, TopologySpec, build_fabric
 from .iostream import BlockArrival, ReadStream, WriteStream
 from .node import ComputeNode, StorageNode
@@ -15,7 +15,6 @@ __all__ = [
     "CASE_ORDER",
     "ClusterConfig",
     "case_configs",
-    "four_cases",
     "BlockArrival",
     "ReadStream",
     "WriteStream",

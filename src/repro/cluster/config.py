@@ -119,18 +119,3 @@ def case_configs(base: ClusterConfig):
         ("active+pref", base.with_case(active=True, prefetch=True)),
     ]
 
-
-def four_cases(base: ClusterConfig):
-    """Deprecated alias of :func:`case_configs`.
-
-    .. deprecated:: 1.1
-       Use :func:`repro.run` to run a benchmark across the cases, or
-       :func:`case_configs` if you only need the configurations.
-    """
-    import warnings
-    warnings.warn(
-        "four_cases() is deprecated; use repro.run(...) to run the four "
-        "configurations, or repro.cluster.case_configs() for the raw "
-        "(label, config) pairs",
-        DeprecationWarning, stacklevel=2)
-    return case_configs(base)

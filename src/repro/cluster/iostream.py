@@ -51,7 +51,41 @@ class BlockArrival:
     payload: Any = None
 
 
-class ReadStream:
+class _RequestStream:
+    """What both stream directions share: argument checks, the storage
+    node, the hoisted control latency, the token window, and the
+    host-side charge for issuing one request.  Subclasses supply the
+    ``_failure_context`` progress provider."""
+
+    def __init__(self, system: System, host: ComputeNode, request_bytes: int,
+                 depth: int, request_cost: str, storage_index: int,
+                 label: str):
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        if request_cost not in ("os", "active", "none"):
+            raise ValueError(f"unknown request cost model {request_cost!r}")
+        self.system = system
+        self.env = system.env
+        self.host = host
+        self.request_bytes = request_bytes
+        self.request_cost = request_cost
+        self.storage = system.storage_nodes[storage_index]
+        # A pure function of the static configuration, identical for
+        # every request — hoisted out of the per-request loop.
+        self._request_path_ps = system.request_path_ps()
+        self._tokens = Container(self.env, capacity=depth, init=depth,
+                                 name=f"{label}.tokens")
+        self._label = label
+        self.env.add_context_provider(self._failure_context)
+
+    def _charge_request(self, nbytes: int):
+        if self.request_cost == "os":
+            yield from self.host.os_request(nbytes)
+        elif self.request_cost == "active":
+            yield from self.host.active_request()
+
+
+class ReadStream(_RequestStream):
     """A host-initiated sequential read stream of fixed-size requests."""
 
     def __init__(
@@ -70,39 +104,24 @@ class ReadStream:
     ):
         if total_bytes <= 0 or request_bytes <= 0:
             raise ValueError("stream and request sizes must be positive")
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        if request_cost not in ("os", "active", "none"):
-            raise ValueError(f"unknown request cost model {request_cost!r}")
-        self.system = system
-        self.env = system.env
-        self.host = host
+        label = f"read-stream:{host.name}->" \
+                f"{'switch' if to_switch else host.name}"
+        super().__init__(system, host, request_bytes, depth, request_cost,
+                         storage_index, label)
         self.total_bytes = total_bytes
-        self.request_bytes = request_bytes
         self.to_switch = to_switch
         self.payloads = payloads
-        self.request_cost = request_cost
-        self.storage = system.storage_nodes[storage_index]
         self.base_offset = base_offset
         if warm_start:
             # The OS's sequential read-ahead (or a file contiguous with
             # prior activity) has already positioned the heads.
             self.storage.disks.position_heads(base_offset)
         self.num_blocks = -(-total_bytes // request_bytes)
-        # Pure functions of the static configuration, identical for
-        # every block — hoisted out of the produce loop.
-        self._request_path_ps = system.request_path_ps()
         self._first_tail_ps = system.first_data_tail_ps(to_switch)
         self._last_tail_ps = system.last_data_tail_ps(to_switch)
-        label = f"read-stream:{host.name}->" \
-                f"{'switch' if to_switch else host.name}"
-        self._tokens = Container(self.env, capacity=depth, init=depth,
-                                 name=f"{label}.tokens")
         self._arrivals: Store = Store(self.env, name=f"{label}.arrivals")
         self._issued = 0
         self._delivered = 0
-        self._label = label
-        self.env.add_context_provider(self._failure_context)
         self._producer = self.env.process(self._produce(), name=label)
 
     def _failure_context(self) -> dict:
@@ -120,12 +139,6 @@ class ReadStream:
         if index == self.num_blocks - 1:
             return self.total_bytes - index * self.request_bytes
         return self.request_bytes
-
-    def _charge_request(self, nbytes: int):
-        if self.request_cost == "os":
-            yield from self.host.os_request(nbytes)
-        elif self.request_cost == "active":
-            yield from self.host.active_request()
 
     def _produce(self):
         # Decided at first execution (inside ``env.run``, after traces
@@ -277,7 +290,7 @@ class ReadStream:
             yield arrival.end_event
 
 
-class WriteStream:
+class WriteStream(_RequestStream):
     """A host-initiated sequential write stream with bounded outstanding
     requests — the mirror image of :class:`ReadStream`.
 
@@ -301,39 +314,18 @@ class WriteStream:
     ):
         if request_bytes <= 0:
             raise ValueError("request size must be positive")
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
-        if request_cost not in ("os", "active", "none"):
-            raise ValueError(f"unknown request cost model {request_cost!r}")
-        self.system = system
-        self.env = system.env
-        self.host = host
-        self.request_bytes = request_bytes
-        self.request_cost = request_cost
-        self.storage = system.storage_nodes[storage_index]
+        super().__init__(system, host, request_bytes, depth, request_cost,
+                         storage_index, f"write-stream:{host.name}")
         self.from_switch = from_switch
         self._offset = base_offset
-        # Static per-request control latency, hoisted like ReadStream's.
-        self._request_path_ps = system.request_path_ps()
-        label = f"write-stream:{host.name}"
-        self._tokens = Container(self.env, capacity=depth, init=depth,
-                                 name=f"{label}.tokens")
         self._inflight = []
         self.bytes_written = 0
-        self._label = label
-        self.env.add_context_provider(self._failure_context)
 
     def _failure_context(self) -> dict:
         return {self._label: (
             f"{self.bytes_written} B committed, "
             f"{len(self._inflight)} writes submitted, "
             f"{self._tokens.level}/{self._tokens.capacity} tokens free")}
-
-    def _charge_request(self, nbytes: int):
-        if self.request_cost == "os":
-            yield from self.host.os_request(nbytes)
-        elif self.request_cost == "active":
-            yield from self.host.active_request()
 
     def write_block(self, nbytes: Optional[int] = None):
         """Submit one block; returns once it is admitted to the window."""

@@ -85,9 +85,6 @@ class PlacementPlan:
                              placements=dict(self.placements),
                              entry=dict(self.entry))
 
-    def levels_used(self) -> List[int]:
-        return sorted({p.level for p in self.placements.values()})
-
     def describe(self) -> dict:
         per_level: Dict[int, int] = {}
         for placement in self.placements.values():

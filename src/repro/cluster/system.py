@@ -257,20 +257,15 @@ class System:
         and time spent in degraded (quarantined-handler) mode.
 
         Caveat: observability loss is reliability information too.  If a
-        capacity-bounded trace sink dropped events — the structured
-        ``env.trace`` collector or the legacy per-switch ``Tracer`` —
+        capacity-bounded ``env.trace`` collector dropped events,
         ``trace_events_dropped`` reports how many, whether or not faults
         were injected.  A 0 count is omitted, so fault-free untraced runs
         still return ``{}`` and stay bit-identical to the seed.
         """
         report: Dict[str, float] = {}
         trace = self.env.trace
-        trace_dropped = trace.dropped if trace is not None else 0
-        legacy = getattr(self.switch, "tracer", None)
-        if legacy is not None:
-            trace_dropped += legacy.dropped
-        if trace_dropped:
-            report["trace_events_dropped"] = float(trace_dropped)
+        if trace is not None and trace.dropped:
+            report["trace_events_dropped"] = float(trace.dropped)
         if self.injector is None:
             return report
         retransmits = dropped = corrupted = 0
@@ -361,26 +356,12 @@ class System:
     # Bulk movement helpers
     # ------------------------------------------------------------------
     def switch_to_host_bulk(self, host: ComputeNode, nbytes: int):
-        """Handler output streaming from the switch into host memory.
-
-        Holds the host's downlink for the wire occupancy and accounts
-        the bytes as host I/O traffic.
-        """
+        """Handler output streaming from the switch into host memory:
+        :meth:`switch_to_remote_bulk` to the host, with the bytes
+        accounted as host I/O traffic."""
         if nbytes <= 0:
             return
-            yield  # pragma: no cover
-        _, from_switch = self._links[host.name]
-        if self.burst_ok():
-            start, end = self._reserve_wires((from_switch,),
-                                             from_switch.occupancy_ps(nbytes))
-            if start > self.env.now:
-                yield self.env.timeout(start - self.env.now)
-            yield self.env.timeout(end - self.env.now)
-            host.hca.account_bulk_in(nbytes)
-            return
-        with from_switch.acquire().request() as grant:
-            yield grant
-            yield self.env.timeout(from_switch.occupancy_ps(nbytes))
+        yield from self.switch_to_remote_bulk(host.name, nbytes)
         host.hca.account_bulk_in(nbytes)
 
     def host_to_host_bulk(self, src: ComputeNode, dst: ComputeNode,
@@ -398,18 +379,12 @@ class System:
         hold_ps = (to_switch.occupancy_ps(nbytes)
                    + self.config.switch.routing_latency_ps)
         if self.burst_ok():
-            start, end = self._reserve_wires((to_switch, from_switch),
-                                             hold_ps)
-            if start > self.env.now:
-                yield self.env.timeout(start - self.env.now)
-            yield self.env.timeout(end - self.env.now)
-            src.hca.account_bulk_out(nbytes)
-            dst.hca.account_bulk_in(nbytes)
-            return
-        with to_switch.acquire().request() as up, \
-                from_switch.acquire().request() as down:
-            yield self.env.all_of([up, down])
-            yield self.env.timeout(hold_ps)
+            yield from self._hold_reserved((to_switch, from_switch), hold_ps)
+        else:
+            with to_switch.acquire().request() as up, \
+                    from_switch.acquire().request() as down:
+                yield self.env.all_of([up, down])
+                yield self.env.timeout(hold_ps)
         src.hca.account_bulk_out(nbytes)
         dst.hca.account_bulk_in(nbytes)
 
@@ -423,23 +398,29 @@ class System:
             return
             yield  # pragma: no cover
         _, from_switch = self._links[dst_name]
+        hold_ps = from_switch.occupancy_ps(nbytes)
         if self.burst_ok():
-            start, end = self._reserve_wires((from_switch,),
-                                             from_switch.occupancy_ps(nbytes))
-            if start > self.env.now:
-                yield self.env.timeout(start - self.env.now)
-            yield self.env.timeout(end - self.env.now)
+            yield from self._hold_reserved((from_switch,), hold_ps)
             return
         with from_switch.acquire().request() as grant:
             yield grant
-            yield self.env.timeout(from_switch.occupancy_ps(nbytes))
+            yield self.env.timeout(hold_ps)
 
-    def _reserve_wires(self, links, hold_ps: int):
+    def _hold_reserved(self, links, hold_ps: int):
+        """Burst-path hold: reserve ``links`` from now, sleep to the
+        grant, then hold as its own timeout (see :meth:`_reserve_wires`
+        for why the two sleeps must stay separate)."""
+        start, end = self._reserve_wires(links, self.env.now, hold_ps)
+        if start > self.env.now:
+            yield self.env.timeout(start - self.env.now)
+        yield self.env.timeout(end - self.env.now)
+
+    def _reserve_wires(self, links, ready_ps: int, hold_ps: int):
         """Burst-path wire arbitration: reserve ``links`` jointly for
-        ``hold_ps`` starting at their common free time, returning the
-        ``(grant, release)`` times.
+        ``hold_ps`` starting at their common free time (no earlier than
+        ``ready_ps``), returning the ``(grant, release)`` times.
 
-        Callers arrive in nondecreasing ``env.now`` order, so the
+        Callers arrive in nondecreasing ``ready_ps`` order, so the
         scalar free-at state grants in exactly the FIFO order the
         per-block path's wire Resources would.  Callers must sleep to
         ``grant`` *first* and only then schedule the hold as its own
@@ -451,7 +432,7 @@ class System:
         matching the event-driven bulk helpers, whose utilization
         figure is documented as packet-path-only.
         """
-        start = self.env.now
+        start = ready_ps
         for link in links:
             if link.bulk_free_ps > start:
                 start = link.bulk_free_ps
@@ -476,10 +457,7 @@ class System:
         if self.switch_cpu_pool is None:
             raise RuntimeError("switch_cpu_peek requires an active system")
         if self.burst_ok():
-            if not self._cpu_ready:
-                return self.switch.cpus[0]
-            ready_ps, _, cpu = self._cpu_ready[0]
-            return cpu if ready_ps <= self.env.now else self.switch.cpus[0]
+            return self.switch_cpu_peek_at(self.env.now)
         return (self.switch_cpu_pool.items[0]
                 if self.switch_cpu_pool.items else self.switch.cpus[0])
 
@@ -593,11 +571,8 @@ class System:
         if nbytes <= 0:
             return ready_ps
         _, from_switch = self._links[host.name]
-        start = ready_ps
-        if from_switch.bulk_free_ps > start:
-            start = from_switch.bulk_free_ps
-        end = start + from_switch.occupancy_ps(nbytes)
-        from_switch.bulk_free_ps = end
+        _, end = self._reserve_wires((from_switch,), ready_ps,
+                                     from_switch.occupancy_ps(nbytes))
         host.hca.account_bulk_in(nbytes)
         return end
 

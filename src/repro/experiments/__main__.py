@@ -53,10 +53,13 @@ def run_one(experiment, scale=None, collect=None) -> str:
             sections.append(f"-- variant {key} --")
             sections.append(performance_table(sub))
     elif isinstance(result, list) and result and isinstance(result[0], dict):
+        # A None cell (e.g. no recovery time for an unaffected run)
+        # renders as "-".
         header = "  ".join(f"{k:>12}" for k in result[0])
         rows = "\n".join(
             "  ".join(f"{row[k]:12.3f}" if isinstance(row[k], float)
-                      else f"{row[k]:>12}" for k in row)
+                      else f"{'-' if row[k] is None else row[k]:>12}"
+                      for k in row)
             for row in result)
         sections.append(header + "\n" + rows)
     sections.append(comparison_table(experiment.experiment_id,

@@ -1,8 +1,7 @@
 """repro.obs — the observability subsystem: structured tracing, exporters,
 terminal timelines, and the metrics registry.
 
-This package supersedes the freeform ``repro.sim.trace.Tracer`` (kept as a
-deprecated shim).  The pieces:
+The pieces:
 
 * :mod:`repro.obs.trace` — the typed event schema (``TraceEvent``) and the
   in-memory sink (``TraceCollector``) with span/instant/counter phases.

@@ -88,13 +88,9 @@ def cell_key(cell: Cell) -> str:
     the three parts together fingerprint the full configuration; the
     realized config's own fingerprint is additionally stored in the
     entry metadata by :meth:`ExperimentRunner.run_cells` for auditing.
-    The simulation mode tag (exact vs the opt-in approximate fluid
-    mode, see :mod:`repro.sim.burst`) keeps the two result populations
-    from ever sharing cache entries.
     """
-    from ..sim.burst import sim_mode_tag
     return fingerprint("cell", cell.spec, cell.case, cell.seed,
-                       code_version(), sim_mode_tag())
+                       code_version())
 
 
 def _execute_cell(payload: Tuple[int, Cell]):
@@ -141,10 +137,6 @@ class ExperimentRunner:
         #: Explicit pool injection (tests); ``None`` draws from the
         #: process-wide warm pool (:func:`repro.runner.pool.shared_pool`).
         self._pool = pool
-
-    #: Back-compat shim; the public spelling is
-    #: :func:`repro.runner.cache.resolve_cache`.
-    _resolve_cache = staticmethod(resolve_cache)
 
     # ------------------------------------------------------------------
     # Core engine

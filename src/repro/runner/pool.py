@@ -19,11 +19,11 @@ configuration.
 
 Correctness guards:
 
-* the pool is keyed by start method **and** the simulation-mode
-  environment (``REPRO_SIM_PERBLOCK`` / ``REPRO_SIM_FLUID``): spawned
-  workers copy the parent environment at creation, so flipping a sim
-  path after the pool exists must retire the old workers — reusing
-  them would silently simulate on the wrong path;
+* the pool is keyed by start method **and** the simulation-path
+  environment (``REPRO_SIM_PERBLOCK``): spawned workers copy the parent
+  environment at creation, so flipping the sim path after the pool
+  exists must retire the old workers — reusing them would silently
+  simulate on the wrong path;
 * determinism is untouched: workers receive frozen specs and return
   the cache codec's JSON dicts, exactly as the per-call pools did, and
   the spawn start method still guarantees no inherited parent state.
@@ -34,23 +34,22 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-from typing import Optional, Tuple
+from typing import Optional
+
+from ..sim.burst import PERBLOCK_ENV
 
 #: Environment variable overriding the multiprocessing start method
 #: (shared with :mod:`repro.runner.harness`).
 START_METHOD_ENV = "REPRO_RUNNER_START_METHOD"
-
-#: Simulation-mode variables a worker bakes in at spawn time.
-_SIM_ENV_VARS = ("REPRO_SIM_PERBLOCK", "REPRO_SIM_FLUID")
 
 
 def _resolve_start_method(start_method: Optional[str]) -> str:
     return start_method or os.environ.get(START_METHOD_ENV, "spawn")
 
 
-def _sim_signature() -> Tuple[Optional[str], ...]:
-    """The sim-mode environment a freshly spawned worker would inherit."""
-    return tuple(os.environ.get(name) for name in _SIM_ENV_VARS)
+def _sim_signature() -> Optional[str]:
+    """The sim-path environment a freshly spawned worker would inherit."""
+    return os.environ.get(PERBLOCK_ENV)
 
 
 def _warm_worker() -> None:

@@ -20,31 +20,17 @@ Two guarantees, enforced by ``tests/sim/test_golden_burst.py``:
   the real event cascade (retries, per-span timing), so
   :meth:`repro.cluster.System.burst_ok` disables the fast path whenever
   an injector or trace collector is attached.
-
-``REPRO_SIM_FLUID=1`` additionally enables the opt-in *fluid* mode for
-the closed-loop stream benchmarks: steady-state stream phases reuse
-sampled cache-stall values instead of re-driving the cache hierarchy
-for every block (transitions — the first/last blocks of a stream — and
-a periodic resample stay exact).  Fluid mode is approximate by design;
-its accuracy envelope is pinned by ``tests/sim/test_fluid_mode.py`` and
-documented in docs/scaling.md.
 """
 
 from __future__ import annotations
 
 import os
 
-__all__ = [
-    "FLUID_ENV", "PERBLOCK_ENV",
-    "fluid_requested", "perblock_requested", "sim_mode_tag",
-]
+__all__ = ["PERBLOCK_ENV", "perblock_requested", "sim_mode_tag"]
 
 #: Debug flag restoring the per-block reference path (mirrors
 #: ``REPRO_MEM_PERLINE`` for the memory hierarchy).
 PERBLOCK_ENV = "REPRO_SIM_PERBLOCK"
-
-#: Opt-in approximate fluid mode for steady-state stream phases.
-FLUID_ENV = "REPRO_SIM_FLUID"
 
 
 def perblock_requested() -> bool:
@@ -52,16 +38,10 @@ def perblock_requested() -> bool:
     return bool(os.environ.get(PERBLOCK_ENV))
 
 
-def fluid_requested() -> bool:
-    """True when the approximate fluid mode is opted into."""
-    return bool(os.environ.get(FLUID_ENV))
-
-
 def sim_mode_tag() -> str:
-    """Accuracy-affecting mode flags, for cache-key fingerprints.
+    """The simulation's accuracy mode, for run provenance records.
 
-    The burst/per-block choice is bit-identical so it never appears
-    here; fluid mode changes results, so cached fluid runs must not
-    collide with exact ones.
+    Always ``"exact"``: both the burst and the per-block path are
+    bit-identical, and there is no approximate mode.
     """
-    return "fluid" if fluid_requested() else "exact"
+    return "exact"

@@ -21,13 +21,12 @@ parallel — so a handler can begin processing before the copy completes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from ..cpu.switch_cpu import SwitchCPU
 from ..faults.injector import HandlerCrashError
 from ..net.packet import MTU, Message, Packet
 from ..sim.core import Environment
-from ..sim.trace import Tracer
 from ..sim.units import transfer_ps
 from .atb import AddressTranslationBuffer
 from .base import BaseSwitch, SwitchConfig
@@ -83,13 +82,9 @@ class ActiveSwitch(BaseSwitch):
 
     def __init__(self, env: Environment, name: str,
                  config: SwitchConfig = SwitchConfig(),
-                 active_config: ActiveSwitchConfig = ActiveSwitchConfig(),
-                 tracer: Optional[Tracer] = None):
+                 active_config: ActiveSwitchConfig = ActiveSwitchConfig()):
         super().__init__(env, name, config)
         self.active_config = active_config
-        # Legacy freeform tracer: only records when explicitly wired in.
-        # The supported path is the env-attached repro.obs collector.
-        self.tracer = tracer
         from ..sim.units import Clock
         self.cpus: List[SwitchCPU] = [
             SwitchCPU(env, cpu_id=i, name=f"{name}-cpu",
@@ -267,10 +262,6 @@ class ActiveSwitch(BaseSwitch):
         message: Message = meta["message"]
         message_id = meta["message_id"]
         self.degradation.contained_crashes += 1
-        if self.tracer is not None:
-            self.tracer.record(self.env.now, "handler-crash",
-                               switch=self.name, handler_id=handler_id,
-                               cpu=cpu.cpu_id, error=type(exc).__name__)
         trace = self.env.trace
         if trace is not None:
             trace.instant(self.name, "switch.crash", self.env.now,
@@ -329,10 +320,6 @@ class ActiveSwitch(BaseSwitch):
         """
         self._quarantined[handler_id] = self.env.now
         self.degradation.quarantined_handlers += 1
-        if self.tracer is not None:
-            self.tracer.record(self.env.now, "quarantine", switch=self.name,
-                               handler_id=handler_id,
-                               crashes=self._handler_health[handler_id])
         trace = self.env.trace
         if trace is not None:
             trace.instant(self.name, "switch.quarantine", self.env.now,
@@ -428,11 +415,6 @@ class ActiveSwitch(BaseSwitch):
                         self.name, handler_id, invocation)
             # Header to the dispatch unit, in parallel with the copy.
             cpu = self.scheduler.pick(packet.active.cpu_id)
-            if self.tracer is not None and self.tracer.enabled:
-                self.tracer.record(self.env.now, "dispatch",
-                                   switch=self.name,
-                                   handler_id=handler_id,
-                                   cpu=cpu.cpu_id, src=packet.src)
             trace = self.env.trace
             if trace is not None:
                 trace.instant(self.name, "switch.dispatch", self.env.now,

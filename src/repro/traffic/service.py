@@ -555,14 +555,9 @@ def _simulate(spec: ServiceSpec, trace=None, prebuilt=None) -> ServiceResult:
 # Front door
 # ----------------------------------------------------------------------
 def service_key(spec: ServiceSpec) -> str:
-    """Cache key: spec content + code version (like ``cell_key``).
-
-    The simulation mode tag keeps approximate (fluid) results from
-    ever being restored as exact ones, or vice versa.
-    """
+    """Cache key: spec content + code version (like ``cell_key``)."""
     from ..runner.fingerprint import code_version, fingerprint
-    from ..sim.burst import sim_mode_tag
-    return fingerprint("service", spec, code_version(), sim_mode_tag())
+    return fingerprint("service", spec, code_version())
 
 
 def serve(app="grep", *, cache=None, trace=None, **params) -> ServiceResult:

@@ -16,8 +16,8 @@ from repro.apps import (
     SelectApp,
     SortApp,
     TarApp,
-    run_four_cases,
 )
+from repro import run
 
 # Small scales keep the whole module in seconds.
 GREP_SCALE = 0.25
@@ -31,27 +31,27 @@ MD5_SCALE = 0.5
 
 @pytest.fixture(scope="module")
 def grep_result():
-    return run_four_cases(lambda: GrepApp(scale=GREP_SCALE))
+    return run(lambda: GrepApp(scale=GREP_SCALE))
 
 
 @pytest.fixture(scope="module")
 def select_result():
-    return run_four_cases(lambda: SelectApp(scale=SELECT_SCALE))
+    return run(lambda: SelectApp(scale=SELECT_SCALE))
 
 
 @pytest.fixture(scope="module")
 def mpeg_result():
-    return run_four_cases(lambda: MpegFilterApp(scale=MPEG_SCALE))
+    return run(lambda: MpegFilterApp(scale=MPEG_SCALE))
 
 
 @pytest.fixture(scope="module")
 def tar_result():
-    return run_four_cases(lambda: TarApp(scale=TAR_SCALE))
+    return run(lambda: TarApp(scale=TAR_SCALE))
 
 
 @pytest.fixture(scope="module")
 def sort_result():
-    return run_four_cases(lambda: SortApp(scale=SORT_SCALE))
+    return run(lambda: SortApp(scale=SORT_SCALE))
 
 
 # ----------------------------------------------------------------------
@@ -241,15 +241,13 @@ def test_sort_active_host_nearly_idle(sort_result):
 # MD5 specifics (single-CPU failure case + 4-CPU recovery)
 # ----------------------------------------------------------------------
 def test_md5_single_cpu_active_is_slower():
-    result = run_four_cases(lambda: Md5App(scale=MD5_SCALE,
-                                           num_switch_cpus=1))
+    result = run(lambda: Md5App(scale=MD5_SCALE, num_switch_cpus=1))
     assert result.active_speedup < 1.0
     assert result.active_pref_speedup < 1.0
 
 
 def test_md5_four_cpus_recover_speedup():
-    result = run_four_cases(lambda: Md5App(scale=MD5_SCALE,
-                                           num_switch_cpus=4))
+    result = run(lambda: Md5App(scale=MD5_SCALE, num_switch_cpus=4))
     assert result.active_speedup > 1.0
 
 
@@ -265,7 +263,7 @@ def test_md5_chained_digest_deterministic():
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def hashjoin_result():
-    return run_four_cases(lambda: HashJoinApp(scale=HASHJOIN_SCALE))
+    return run(lambda: HashJoinApp(scale=HASHJOIN_SCALE))
 
 
 def test_hashjoin_bitvector_pass_fraction():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import ClusterConfig, System, four_cases
+from repro.cluster import ClusterConfig, System, case_configs
 from repro.switch import ActiveSwitch, BaseSwitch
 
 
@@ -15,9 +15,9 @@ def test_default_config_is_normal_case():
 
 def test_case_labels():
     base = ClusterConfig()
-    labels = [label for label, _ in four_cases(base)]
+    labels = [label for label, _ in case_configs(base)]
     assert labels == ["normal", "normal+pref", "active", "active+pref"]
-    for label, config in four_cases(base):
+    for label, config in case_configs(base):
         assert config.case_label == label
 
 

@@ -129,3 +129,15 @@ def test_main_markdown_flag(tmp_path, capsys):
     out = tmp_path / "report.md"
     assert main(["table1", "--markdown", str(out)]) == 0
     assert out.exists()
+
+
+def test_row_table_renders_none_cells_as_dash():
+    # ext_fabric_availability rows carry None where a kill missed the
+    # collective; the bare CLI used to crash formatting them.
+    from repro.experiments.__main__ import run_one
+    rows = [{"kill_us": 10.0, "attempts": 2, "recovery_us": None}]
+    stub = Experiment(experiment_id="stub_rows", title="Stub rows",
+                      paper={}, run=lambda scale: rows,
+                      measured=lambda result: {})
+    text = run_one(stub, scale=1.0)
+    assert f"{10.0:12.3f}  {2:>12}  {'-':>12}" in text

@@ -11,8 +11,6 @@ Each test here fails on the pre-fix kernel:
    putter forever instead of failing fast.
 4. ``TimeWeighted.mean(until_ps)`` with ``until_ps`` before the last
    change computed a negative-width open segment and corrupted the mean.
-5. ``Tracer.summary()`` did not report dropped records (covered in
-   tests/sim/test_trace.py as well; the drop-policy assert lives here).
 """
 
 import pytest
@@ -23,7 +21,6 @@ from repro.sim import (
     Environment,
     Interrupt,
     Resource,
-    Tracer,
 )
 
 
@@ -192,18 +189,3 @@ def test_time_weighted_mean_still_extrapolates_forward():
     # 10 for [0,100) then 30 for [100,200): mean 20.
     assert series.mean(until_ps=200) == pytest.approx(20.0)
 
-
-# ----------------------------------------------------------------------
-# 5. Tracer drop policy
-# ----------------------------------------------------------------------
-@pytest.mark.filterwarnings(
-    "ignore:repro.sim.Tracer is deprecated:DeprecationWarning")
-def test_tracer_drops_newest_and_counts_them():
-    tracer = Tracer(capacity=2)
-    tracer.record(0, "first")
-    tracer.record(1, "second")
-    tracer.record(2, "third")  # newest: dropped, not evicting history
-    kinds = [r.kind for r in tracer.records]
-    assert kinds == ["first", "second"]
-    assert tracer.dropped == 1
-    assert tracer.summary()["dropped"] == 1
