@@ -1,9 +1,10 @@
 """Micro-benchmarks for the memory-hierarchy hot path.
 
 Times the layer in isolation — scalar cache access, batched range
-walks, strided record scans, and the per-line reference path — so a
-change too small to move grid cells is still measurable.  Standalone
-(no pytest-benchmark dependency)::
+walks, strided record scans, hashjoin-style random probes, hierarchy
+construction, and the per-line reference path — so a change too small
+to move grid cells is still measurable.  Standalone (no
+pytest-benchmark dependency)::
 
     PYTHONPATH=src python benchmarks/perf/bench_cache_hotpath.py
 
@@ -13,6 +14,7 @@ compare runs on the same machine only.
 
 from __future__ import annotations
 
+import random
 import time
 
 from repro.mem import Cache, CacheConfig
@@ -24,6 +26,11 @@ SCAN_BYTES = 2 * 1024 * 1024
 #: Records per strided measurement (the select/hashjoin pattern).
 RECORDS = 20_000
 RECORD_BYTES = 100
+#: Random scalar probes per measurement, and the span they land in.
+PROBES = 50_000
+PROBE_SPAN = 4 * 1024 * 1024
+#: Host hierarchies built per construction measurement.
+BUILDS = 200
 
 
 def _timed(label: str, fn, repeat: int = 3) -> float:
@@ -45,16 +52,6 @@ def bench_cache_scalar_access():
     def run():
         for addr in range(0, SCAN_BYTES, 32):
             access(addr)
-    return run
-
-
-def bench_cache_int_access():
-    cache = Cache(CacheConfig("bench-l1", 32 * 1024, 32, 2))
-    _access = cache._access
-
-    def run():
-        for addr in range(0, SCAN_BYTES, 32):
-            _access(addr)
     return run
 
 
@@ -84,11 +81,33 @@ def bench_hierarchy_load_stride(batched: bool):
     return run
 
 
+def bench_hierarchy_random_probe():
+    """Hashjoin's pattern: a record load, then random hash-table stores."""
+    rng = random.Random(14)
+    slots = [rng.randrange(PROBE_SPAN) for _ in range(PROBES)]
+    hier = build_host_hierarchy(Clock(2e9), scaled_for_database=True)
+
+    def run():
+        load, store = hier.load, hier.store
+        for i, slot in enumerate(slots):
+            load(PROBE_SPAN + i * 128)
+            store(slot)
+    return run
+
+
+def bench_build_host_hierarchy():
+    clock = Clock(2e9)
+
+    def run():
+        for _ in range(BUILDS):
+            build_host_hierarchy(clock)
+    return run
+
+
 def main() -> None:
     print(f"scan = {SCAN_BYTES // 1024} KB sequential, "
           f"stride = {RECORDS} x {RECORD_BYTES} B records\n")
     _timed("Cache.access (public, per line)", bench_cache_scalar_access())
-    _timed("Cache._access (int-coded, per line)", bench_cache_int_access())
     _timed("Cache.access_range (batched)", bench_cache_access_range())
     perline = _timed("hierarchy load_range (per-line path)",
                      bench_hierarchy_load_range(batched=False))
@@ -100,6 +119,9 @@ def main() -> None:
     batched = _timed("hierarchy load_stride (batched path)",
                      bench_hierarchy_load_stride(batched=True))
     print(f"{'-> load_stride speedup':<44} {perline / batched:7.2f} x")
+    _timed(f"hierarchy random load+store x {PROBES}",
+           bench_hierarchy_random_probe())
+    _timed(f"build_host_hierarchy x {BUILDS}", bench_build_host_hierarchy())
 
 
 if __name__ == "__main__":

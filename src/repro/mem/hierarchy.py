@@ -17,18 +17,17 @@ Stall semantics follow Section 4 of the paper:
 The embedded switch processor uses the same machinery with no L2 and no
 overlap (its caches support only one outstanding request).
 
-Range accesses (``load_range`` / ``store_range``) have a batched fast
-path that walks a whole contiguous scan in one call: the byte range is
-chunked per TLB page (one real TLB access per chunk — the per-line
-re-hits only bump the access counter), each chunk's lines go through
-:meth:`Cache._access_run` in one pass, and the missed lines propagate
-down as an ascending batch: L2 probes once per L2 line and RDRAM checks
-one bank per page (see :meth:`MemoryHierarchy._consult_lower`).  Stall
-picoseconds and statistics accumulate in locals and commit once per
-call, so results — every counter and every stall sum — are bit-identical
-to the per-line path.  The scalar path survives as the reference
-implementation behind ``batched=False`` (or the ``REPRO_MEM_PERLINE``
-environment variable), which the golden-stats equivalence test flips.
+Range and strided accesses (``load_range`` / ``load_stride`` and their
+store twins) have a batched path: the scan is chunked per TLB page (one
+real TLB access per chunk — the re-hits only bump the access counter),
+L1 walks each chunk as way-major slices (:meth:`Cache._walk`) or, for
+a stride, probes each line touched (:meth:`Cache._probe`), and the
+missed lines go down as ``(first address, count)`` segments: L2 walks
+the L2 lines they cover the same way and RDRAM checks its banks once
+per page spanned (:meth:`MemoryHierarchy._consult_lower`).  Statistics
+commit once per call, so every counter and stall sum is bit-identical
+to the per-line path, which survives as the reference behind
+``batched=False`` (or ``REPRO_MEM_PERLINE``) for the golden test.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..sim.units import Clock
-from .cache import Cache, CacheConfig
+from .cache import EMPTY, Cache, CacheConfig
 from .rdram import Rdram, RdramConfig
 from .tlb import TLB, TLBConfig
 
@@ -76,6 +75,8 @@ class MemoryHierarchy:
         timing: HierarchyTiming = HierarchyTiming(),
         batched: Optional[bool] = None,
     ):
+        if l2 is not None and l2.config.line_size < l1d.config.line_size:
+            raise ValueError("L2 lines must be at least as long as L1D lines")
         self.l1d = l1d
         self.l1i = l1i
         self.l2 = l2
@@ -113,46 +114,74 @@ class MemoryHierarchy:
     def _fill(self, l1: Cache, addr: int, write: bool) -> int:
         """Stall ps for one reference through ``l1`` (data or instruction).
 
-        :meth:`Cache._access` on L1 and L2 and :meth:`Rdram.access`,
-        inlined into one call: every scalar ``load``/``store``/``ifetch``
-        and every page-table-walk reference runs it.
+        A :meth:`Cache._probe` of one line on L1 and L2 and
+        :meth:`Rdram.access`, inlined into one call: every scalar
+        ``load``/``store``/``ifetch`` and page-table-walk reference
+        runs it.
         """
         line = addr >> l1._line_shift
-        lines = l1._sets[line & l1._set_mask]
+        s = line & l1._set_mask
         tag = line >> l1._tag_shift
         stats = l1.stats
         stats.accesses += 1
-        if tag in lines:
+        mru = l1._mru
+        if mru[s] == tag:
             stats.hits += 1
-            # pop + re-insert moves the tag to the MRU position.
-            lines[tag] = lines.pop(tag) or write
+            if write:
+                l1._mru_dirty[s] = True
             return 0
+        for tags, dirty, moves in l1._lower:
+            if tags[s] == tag:
+                stats.hits += 1
+                l1._promote(s, tag, dirty[s] or write, moves)
+                return 0
         stats.misses += 1
-        if len(lines) >= l1.config.assoc:
+        if l1._shared:
+            l1._own()
+            mru = l1._mru
+        if l1._victims[s] != EMPTY:
             stats.evictions += 1
-            if lines.pop(next(iter(lines))):
+            if l1._victim_dirty[s]:
                 stats.writebacks += 1
-        lines[tag] = write
+        for tags, upper, dirty, upper_dirty in l1._shifts:
+            tags[s] = upper[s]
+            dirty[s] = upper_dirty[s]
+        mru[s] = tag
+        l1._mru_dirty[s] = write
         memory = self.memory
         l2 = self.l2
         if l2 is not None:
             line = addr >> l2._line_shift
-            lines = l2._sets[line & l2._set_mask]
+            s = line & l2._set_mask
             tag = line >> l2._tag_shift
             stats = l2.stats
             stats.accesses += 1
-            if tag in lines:
+            mru = l2._mru
+            if mru[s] == tag:
                 stats.hits += 1
-                lines[tag] = lines.pop(tag) or write
+                if write:
+                    l2._mru_dirty[s] = True
                 return self._l2_hit_ps
+            for tags, dirty, moves in l2._lower:
+                if tags[s] == tag:
+                    stats.hits += 1
+                    l2._promote(s, tag, dirty[s] or write, moves)
+                    return self._l2_hit_ps
             stats.misses += 1
-            if len(lines) >= l2.config.assoc:
+            if l2._shared:
+                l2._own()
+                mru = l2._mru
+            if l2._victims[s] != EMPTY:
                 stats.evictions += 1
-                if lines.pop(next(iter(lines))):
+                if l2._victim_dirty[s]:
                     stats.writebacks += 1
                     # Write-back to memory happens off the critical path.
                     memory.stream(l2.config.line_size)
-            lines[tag] = write
+            for tags, upper, dirty, upper_dirty in l2._shifts:
+                tags[s] = upper[s]
+                dirty[s] = upper_dirty[s]
+            mru[s] = tag
+            l2._mru_dirty[s] = write
         # Miss to memory: stall until the first double-word arrives.
         page = addr >> memory._page_shift
         open_pages = memory._open_pages
@@ -242,16 +271,14 @@ class MemoryHierarchy:
         """Stall ps for ``count`` accesses at ``addr, addr+stride, ...``.
 
         The batched path, bit-identical to the scalar loop it falls back
-        to when ``batched`` is off or the stride is not positive.  The
-        accesses are chunked per TLB page: one real TLB access covers
-        each chunk, because the chunk's other accesses are hits that only
-        move an already-MRU entry, so they collapse to an access-counter
-        bump.  The page-table walk on a miss goes through the caches
-        before the chunk's own L1 accesses, exactly as the scalar path
-        orders it.  The chunk's L1 pass is one :meth:`Cache._access_run`
-        (a byte range: line-aligned at line stride) or
-        :meth:`Cache._access_ascending`, and its missed lines go down
-        through :meth:`_consult_lower`.
+        to when ``batched`` is off or the stride is not positive.  Each
+        TLB page's accesses form a chunk: one real TLB access covers it,
+        as the chunk's other accesses are hits that only move an
+        already-MRU entry, and a miss's page-table walk goes through the
+        caches first, as the scalar path orders it.  A byte range (line
+        stride, line-aligned) walks L1 with :meth:`Cache._walk`, any
+        other stride probes it per line with :meth:`Cache._probe`; the
+        missed segments go down through :meth:`_consult_lower`.
         """
         if count <= 0:
             return 0
@@ -276,12 +303,14 @@ class MemoryHierarchy:
                 tlb_hits += chunk - 1
             else:
                 chunk = count
+            missed = []
             if run:
-                missed, _ = l1d._access_run(addr, chunk, write=write)
+                misses = l1d._walk(addr, chunk, write, missed)
             else:
-                missed, _ = l1d._access_ascending(
-                    range(addr, addr + chunk * stride, stride), write=write)
-            fill_stall += self._consult_lower(missed, write)
+                misses = l1d._probe(range(addr, addr + chunk * stride, stride),
+                                    write, missed)
+            if misses:
+                fill_stall += self._consult_lower(missed, misses, write)
             addr += chunk * stride
             count -= chunk
         if tlb is not None:
@@ -293,32 +322,65 @@ class MemoryHierarchy:
             self.load_stall_ps += fill_stall
         return tlb_stall + fill_stall
 
-    def _consult_lower(self, missed, write: bool) -> int:
-        """L2/memory stall for one chunk's missed L1 lines.
+    def _consult_lower(self, missed, misses: int, write: bool) -> int:
+        """L2/memory stall for one chunk's ``misses`` missed L1 lines.
 
-        Shared tail of the batched scans.  ``missed`` ascends (a chunk's
-        lines are walked in address order), which makes two exact
-        shortcuts possible: L2 probes once per L2 line
-        (:meth:`Cache._access_ascending`) and RDRAM checks one bank per
-        page (:meth:`Rdram._access_ascending`).  Every missed line then
-        costs one of three latencies — L2 hit, page hit, page miss — so
-        the stall is a weighted sum; a store rounds each latency once by
-        the overlap factor, as the per-line path rounds each line.
+        ``missed`` holds them as ascending segments, so L2 sees each L2
+        line they cover once: the first missed L1 line in it probes and
+        leaves it MRU with ``dirty |= write``, and every later one is a
+        hit that changes nothing, a counter bump.  The covered L2 lines
+        merge into segments for :meth:`Cache._walk`, whose misses go to
+        :meth:`Rdram._access_segments`.  Each missed L1 line costs an L2
+        hit, a page hit or a page miss, so the stall is a weighted sum;
+        a store rounds each latency once, as the per-line path does.
         """
+        l1_shift = self.l1d._line_shift
         l2 = self.l2
         memory = self.memory
         if l2 is None:
             fills = missed
+            fill_shift = l1_shift
+            num_fills = misses
         else:
-            fills, writebacks = l2._access_ascending(missed, write=write)
+            fill_shift = l2._line_shift
+            up = fill_shift - l1_shift
+            # Offset bits within an L2 line that select another RDRAM
+            # page: a fill with any set must start its own segment.
+            unaligned = (l2.config.line_size - 1) & -memory.config.page_size
+            # Pending L2 segment, and its last line (-2: none yet).
+            start = count = 0
+            probed = -2
+            covered = []
+            for addr, n in missed:
+                first = addr >> fill_shift
+                last = ((addr >> l1_shift) + n - 1) >> up if n > 1 else first
+                if first == probed:
+                    first += 1
+                elif first != probed + 1 or addr & unaligned:
+                    if count:
+                        covered.append((start, count))
+                    start = addr
+                    count = 0
+                count += last - first + 1
+                probed = last
+            covered.append((start, count))
+            fills = []
+            writebacks = l2.stats.writebacks
+            num_fills = probes = 0
+            for addr, n in covered:
+                num_fills += l2._walk(addr, n, write, fills)
+                probes += n
+            l2.stats.accesses += misses - probes
+            l2.stats.hits += misses - probes
+            writebacks = l2.stats.writebacks - writebacks
             if writebacks:
                 # Off the critical path, bandwidth accounted.
                 memory.stream(writebacks * l2.config.line_size)
-        page_misses = memory._access_ascending(fills,
-                                               self.l1d.config.line_size)
+        page_misses = memory._access_segments(
+            fills, fill_shift, self.l1d.config.line_size)
         l2_hit_ps, page_hit_ps, page_miss_ps = self._scan_ps[write]
-        return ((len(missed) - len(fills)) * l2_hit_ps
-                + (len(fills) - page_misses) * page_hit_ps
+        return ((misses - num_fills) * l2_hit_ps
+                + (num_fills - page_misses) * page_hit_ps
                 + page_misses * page_miss_ps)
 
     @property

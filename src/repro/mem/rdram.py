@@ -6,13 +6,15 @@ both the host and switch.  The maximum bandwidth of both systems is
 
 We model per-bank open pages (a page miss closes/opens the sense amps,
 hence the extra 22 ns) and account for bandwidth when bulk data streams
-through memory (I/O buffers, message payloads).
+through memory (I/O buffers, message payloads).  Batched scans hand
+their line fills over as ascending segments, whose banks are checked
+once per page spanned (:meth:`Rdram._access_segments`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from ..sim.units import ns, transfer_ps
 
@@ -88,25 +90,36 @@ class Rdram:
         # Data burst after the access latency.
         return latency + transfer_ps(nbytes, self.config.bandwidth_bytes_per_s)
 
-    def _access_ascending(self, addrs: List[int], nbytes: int) -> int:
-        """``nbytes`` accesses at ascending ``addrs``; returns page misses.
+    def _access_segments(self, segments, line_shift: int,
+                         nbytes: int) -> int:
+        """``nbytes`` accesses over ascending ``segments``; returns page misses.
 
-        Equivalent to :meth:`access` on each address in order, with the
-        statistics committed once.  Ascending addresses visit pages in
-        ascending order and never come back to one, so only the first
-        access in each page can find its bank on another page; every
-        other access in that page is a page hit.
+        A ``(addr, count)`` segment is an access at ``addr``, then one at
+        the start of each of the next ``count - 1`` lines of ``1 <<
+        line_shift`` bytes.  Ascending accesses never return to a page
+        they left, so only the first in a page can miss: the banks are
+        checked once per page spanned.  Exactly :meth:`access` on each
+        address in order, with the statistics committed once.
         """
         open_pages = self._open_pages
         num_banks = len(open_pages)
         shift = self._page_shift
-        misses = 0
-        for page in dict.fromkeys([addr >> shift for addr in addrs]):
-            bank = page % num_banks
-            if open_pages[bank] != page:
-                open_pages[bank] = page
-                misses += 1
-        count = len(addrs)
+        # Pages of the line starts: every page in between when a page
+        # holds whole lines, one page per line when a line spans pages.
+        # The first page may repeat; a repeat finds its bank open.
+        step = max(1, (1 << line_shift) >> shift)
+        count = misses = 0
+        for addr, n in segments:
+            count += n
+            line = addr >> line_shift
+            for page in (addr >> shift,
+                         *range(((line + 1) << line_shift) >> shift,
+                                (((line + n - 1) << line_shift) >> shift) + 1,
+                                step)):
+                bank = page % num_banks
+                if open_pages[bank] != page:
+                    open_pages[bank] = page
+                    misses += 1
         stats = self.stats
         stats.accesses += count
         stats.page_hits += count - misses

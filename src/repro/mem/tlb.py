@@ -6,9 +6,9 @@ of TLB misses".  We model the hit/miss behaviour here and let the
 hierarchy charge the page-walk latency (which itself goes through the
 cache model, giving the "cache effects").
 
-Like the caches, the entry store is one insertion-ordered ``dict``
-(page -> None, LRU first) so hit, touch, and replacement are all O(1)
-instead of a ``list.index`` scan over up to 64 entries per access.
+The entry store is one insertion-ordered ``dict`` (page -> None, LRU
+first) so hit, touch, and replacement are all O(1) instead of a
+``list.index`` scan over up to 64 entries per access.
 """
 
 from __future__ import annotations

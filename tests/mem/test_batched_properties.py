@@ -28,6 +28,8 @@ from repro.mem import (
 )
 from repro.sim import Clock
 
+from cache_state import lru_sets
+
 CLOCK = Clock(2_000_000_000)
 
 #: Addresses stay inside a few KB so operations revisit each other's
@@ -112,9 +114,8 @@ def _state(hier):
     for name in ("l1d", "l1i", "l2"):
         cache = getattr(hier, name)
         if cache is not None:
-            # Item lists, not dicts: the LRU order must match too.
-            state[name] = (vars(cache.stats),
-                           [list(lines.items()) for lines in cache._sets])
+            # Ordered pair lists: the LRU order must match too.
+            state[name] = (vars(cache.stats), lru_sets(cache))
     for name in ("dtlb", "itlb"):
         tlb = getattr(hier, name)
         if tlb is not None:
@@ -133,3 +134,94 @@ def test_batched_path_matches_perline_reference(geometry, ops):
         assert (getattr(batched, name)(*args)
                 == getattr(perline, name)(*args)), op
         assert _state(batched) == _state(perline), op
+
+
+# ----------------------------------------------------------------------
+# Wide and fully associative caches, wrapping runs, re-scans, flushes
+# ----------------------------------------------------------------------
+#: ``(associativity, sets)`` with eight ways or a single set.
+WIDE_SHAPES = [(8, 1), (8, 2), (8, 4), (2, 1), (4, 1), (16, 1)]
+
+
+@st.composite
+def wide_geometries(draw):
+    """A random hierarchy whose L1D (and any L2) is 8-way or one set."""
+    geometry = draw(geometries().filter(lambda g: g is not None))
+    geometry["l1d"] = (geometry["l1d"][0], *draw(st.sampled_from(WIDE_SHAPES)))
+    if geometry["l2"] is not None:
+        geometry["l2"] = (geometry["l2"][0],
+                          *draw(st.sampled_from(WIDE_SHAPES)))
+    return geometry
+
+
+wide_operations = st.one_of(
+    operations,
+    # Runs several times the largest cache: the set table wraps.
+    st.tuples(st.sampled_from(["load_range", "store_range"]), addrs,
+              st.integers(4096, 20000)),
+    # Scan, evict part of it, scan again: stretches mix hits and misses.
+    st.tuples(st.just("rescan"), addrs, st.integers(1, 3000), addrs,
+              st.integers(1, 1500)),
+    st.tuples(st.just("flush"), st.sampled_from(["l1d", "l1i", "l2"])),
+)
+
+
+def _apply(hier, op):
+    name, *args = op
+    if name == "flush":
+        cache = getattr(hier, args[0])
+        return None if cache is None else cache.flush()
+    if name == "rescan":
+        addr, nbytes, evict_addr, evict_nbytes = args
+        return (hier.load_range(addr, nbytes),
+                hier.store_range(evict_addr, evict_nbytes),
+                hier.store_range(addr, nbytes))
+    return getattr(hier, name)(*args)
+
+
+@given(geometry=wide_geometries(),
+       ops=st.lists(wide_operations, min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_wide_geometries_match_perline_reference(geometry, ops):
+    batched = _build(geometry, batched=True)
+    perline = _build(geometry, batched=False)
+    for op in ops:
+        assert _apply(batched, op) == _apply(perline, op), op
+        assert _state(batched) == _state(perline), op
+
+
+cache_operations = st.one_of(
+    st.tuples(st.just("range"), addrs, st.integers(0, 20000),
+              st.booleans()),
+    st.tuples(st.just("line"), addrs, st.booleans()),
+    st.tuples(st.just("flush")),
+)
+
+
+@given(shape=st.sampled_from(WIDE_SHAPES + [(1, 4), (2, 16)]),
+       line=st.sampled_from([16, 32, 64]),
+       ops=st.lists(cache_operations, min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_cache_range_matches_per_line_accesses(shape, line, ops):
+    """``access_range`` against one ``access`` per line, flushes between."""
+    batched = _cache("batched", line, *shape)
+    scalar = _cache("scalar", line, *shape)
+    for op in ops:
+        if op[0] == "flush":
+            assert batched.flush() == scalar.flush()
+        elif op[0] == "line":
+            _, addr, write = op
+            assert batched.access(addr, write) == scalar.access(addr, write)
+        else:
+            _, addr, nbytes, write = op
+            misses = writebacks = 0
+            first = addr - addr % line
+            end = addr + nbytes if nbytes > 0 else first
+            for line_addr in range(first, end, line):
+                result = scalar.access(line_addr, write)
+                misses += not result.hit
+                writebacks += result.writeback
+            assert batched.access_range(addr, nbytes, write) == (
+                misses, writebacks), op
+        assert vars(batched.stats) == vars(scalar.stats), op
+        assert lru_sets(batched) == lru_sets(scalar), op

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.mem import Cache, CacheConfig
 
+from cache_state import lru_sets
+
 
 def make_cache(size=1024, line=32, assoc=2, name="test"):
     return Cache(CacheConfig(name, size, line, assoc))
@@ -187,7 +189,7 @@ def test_assoc_1_range_matches_scalar():
             s_writebacks += 1 if result.writeback else 0
         assert (misses, writebacks) == (s_misses, s_writebacks)
     assert vars(batched.stats) == vars(scalar.stats)
-    assert batched._sets == scalar._sets
+    assert lru_sets(batched) == lru_sets(scalar)
 
 
 @pytest.mark.parametrize("addr", [0, 5, 32])
@@ -255,7 +257,7 @@ def test_property_stats_invariants(addrs, writes):
         cache.access(addr, write=write)
     stats = cache.stats
     assert stats.hits + stats.misses == stats.accesses
-    assert all(len(lines) <= 2 for lines in cache._sets)
+    assert all(len(lines) <= 2 for lines in lru_sets(cache))
     assert stats.writebacks <= stats.evictions
 
 
@@ -268,3 +270,16 @@ def test_property_contains_matches_access_hit(addrs):
     for addr in addrs:
         resident = cache.contains(addr)
         assert cache.access(addr).hit == resident
+
+
+
+def test_unused_caches_share_empty_tables_until_first_miss():
+    """A cache's first miss gives it its own tables; others stay empty."""
+    used, unused = make_cache(), make_cache()
+    assert used._tags is unused._tags
+    assert not used.access(0x40, write=True).hit
+    assert used._tags is not unused._tags
+    assert not unused.contains(0x40)
+    assert lru_sets(unused) == [[] for _ in range(16)]
+    assert unused.flush() == 0
+    assert used.flush() == 1

@@ -9,6 +9,8 @@ from repro.mem import (
 )
 from repro.sim import Clock
 
+from cache_state import lru_sets
+
 HOST_CLOCK = Clock(2_000_000_000)
 SWITCH_CLOCK = Clock(500_000_000)
 
@@ -142,7 +144,7 @@ def _state(hier):
     for name in ("l1d", "l1i", "l2"):
         cache = getattr(hier, name)
         if cache is not None:
-            state[name] = (vars(cache.stats), cache._sets)
+            state[name] = (vars(cache.stats), lru_sets(cache))
     for name in ("dtlb", "itlb"):
         tlb = getattr(hier, name)
         if tlb is not None:
