@@ -1,10 +1,11 @@
-"""Micro-benchmarks for the memory-hierarchy hot path.
+"""Micro-benchmarks for the simulator's hot paths.
 
-Times the layer in isolation — scalar cache access, batched range
-walks, strided record scans, hashjoin-style random probes, hierarchy
-construction, and the per-line reference path — so a change too small
-to move grid cells is still measurable.  Standalone (no
-pytest-benchmark dependency)::
+Times each layer in isolation so a change too small to move grid cells
+is still measurable.  The memory hierarchy: scalar cache access,
+batched range walks, strided record scans, hashjoin-style random
+probes, hierarchy construction, and the per-line reference path.  The
+disk model: a striped burst-path read stream over the service preset's
+16 spindles.  Standalone (no pytest-benchmark dependency)::
 
     PYTHONPATH=src python benchmarks/perf/bench_cache_hotpath.py
 
@@ -17,8 +18,10 @@ from __future__ import annotations
 import random
 import time
 
+from repro.io.disk import DiskArray
 from repro.mem import Cache, CacheConfig
 from repro.mem.hierarchy import build_host_hierarchy
+from repro.sim.core import Environment
 from repro.sim.units import Clock
 
 #: Bytes of sequential scan per measurement (64 K lines at 32 B).
@@ -31,6 +34,11 @@ PROBES = 50_000
 PROBE_SPAN = 4 * 1024 * 1024
 #: Host hierarchies built per construction measurement.
 BUILDS = 200
+#: Striped reads per disk measurement (one serve_open_loop pass), the
+#: stripe width of the ``service_2003`` preset, and the read sizes.
+DISK_READS = 41_761
+SPINDLES = 16
+READ_SIZES = (24 * 1024, 32 * 1024)
 
 
 def _timed(label: str, fn, repeat: int = 3) -> float:
@@ -104,6 +112,20 @@ def bench_build_host_hierarchy():
     return run
 
 
+def bench_disk_array_read_burst():
+    """Sequential burst-path reads striped over every spindle."""
+    def run():
+        disks = DiskArray(Environment(), num_disks=SPINDLES)
+        disks.position_heads(0)
+        offset = 0
+        for i in range(DISK_READS):
+            nbytes = READ_SIZES[i & 1]
+            disks.read_burst(i * 1_000_000, offset, nbytes)
+            offset += nbytes
+        disks.utilization()
+    return run
+
+
 def main() -> None:
     print(f"scan = {SCAN_BYTES // 1024} KB sequential, "
           f"stride = {RECORDS} x {RECORD_BYTES} B records\n")
@@ -122,6 +144,8 @@ def main() -> None:
     _timed(f"hierarchy random load+store x {PROBES}",
            bench_hierarchy_random_probe())
     _timed(f"build_host_hierarchy x {BUILDS}", bench_build_host_hierarchy())
+    _timed(f"DiskArray.read_burst x {DISK_READS} ({SPINDLES} disks)",
+           bench_disk_array_read_burst())
 
 
 if __name__ == "__main__":

@@ -105,7 +105,7 @@ from .traffic import (
     sweep_offered_load,
 )
 
-__version__ = "2.0.1"
+__version__ = "2.0.2"
 
 #: Authoritative public surface: `import *`, the docs' API reference,
 #: and tests/test_public_api.py all derive from this list.

@@ -141,13 +141,13 @@ class System:
             self._register_hierarchy(f"mem.{node.name}", node.hierarchy)
         for node in self.storage_nodes:
             for disk in node.disks.disks:
-                m.register_stats(
-                    f"disk.{disk.name}", disk.stats,
-                    ["requests", "sequential_requests", "bytes_read",
-                     "bytes_written", "positioning_ps", "transfer_ps_total",
-                     "transient_errors", "retries"])
+                # Read disk.stats/busy per probe: they settle the ledger
+                # of the disk's array.
+                for field in vars(disk.stats):
+                    m.register(f"disk.{disk.name}.{field}",
+                               lambda d=disk, f=field: getattr(d.stats, f))
                 m.register(f"disk.{disk.name}.utilization",
-                           disk.busy.utilization)
+                           lambda d=disk: d.busy.utilization())
         if isinstance(self.switch, ActiveSwitch):
             switch = self.switch
             for cpu in switch.cpus:

@@ -10,11 +10,16 @@ with large files."
 stream across several disks, giving the paper's 2 x 50 MB/s = 100 MB/s
 aggregate.  Sequential requests pay positioning (seek + half-rotation)
 only when the head moves away from the previous request's end.
+
+On the analytic burst path an equal stripe over spindles in lockstep
+is computed once, on the lead spindle; the followers' identical updates
+wait in a ledger that ``Disk.stats``, ``Disk.busy`` and every ``Disk``
+method apply first.  The event-driven path runs every spindle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from ..metrics.sampling import BusyTracker
 from ..sim.core import Environment
@@ -71,15 +76,31 @@ class Disk:
         self.env = env
         self.name = name
         self.config = config
-        self.stats = DiskStats()
+        self._stats = DiskStats()
         self.arm = Resource(env, capacity=1, name=f"{name}.arm")
-        self.busy = BusyTracker(env)
+        self._busy = BusyTracker(env)
         self._head_position = -1  # byte offset after the last transfer
         #: When the arm finishes its last analytically-scheduled request
         #: (the burst path's stand-in for the ``arm`` Resource queue).
         self._arm_free_ps = 0
         self._injector = None
+        self._array = None  # the DiskArray whose ledger may owe us updates
         env.add_context_provider(self._failure_context)
+
+    def _settle(self) -> None:
+        """Apply the owning array's pending lockstep ledger, if any."""
+        if self._array is not None and self._array._ledger is not None:
+            self._array._sync()
+
+    @property
+    def stats(self) -> DiskStats:
+        self._settle()
+        return self._stats
+
+    @property
+    def busy(self) -> BusyTracker:
+        self._settle()
+        return self._busy
 
     def _failure_context(self) -> dict:
         return {f"disk:{self.name}": (
@@ -90,11 +111,13 @@ class Disk:
 
     def attach_faults(self, injector) -> None:
         """Subject this spindle to ``injector``'s fault plan."""
+        self._settle()
         self._injector = injector
 
     def position_head(self, offset: int) -> None:
         """Pre-position the head (models OS read-ahead having already
         seeked, or a file contiguous with prior activity)."""
+        self._settle()
         self._head_position = offset
 
     def _access(self, offset: int, nbytes: int, write: bool, started):
@@ -109,6 +132,7 @@ class Disk:
         positioning again — and replays the request, up to
         ``max_retries`` times before raising :class:`DiskError`.
         """
+        self._settle()
         with self.arm.request() as grant:
             yield grant
             self.busy.enter()
@@ -179,24 +203,29 @@ class Disk:
         last byte moves.  Never used under a fault plan — transient
         errors need the event-driven retry loop.
         """
+        self._settle()
+        return self._burst(at_ps, offset, nbytes, write)
+
+    def _burst(self, at_ps: int, offset: int, nbytes: int, write: bool):
+        stats = self._stats
         start = at_ps if at_ps > self._arm_free_ps else self._arm_free_ps
-        self.stats.requests += 1
+        stats.requests += 1
         if offset == self._head_position:
-            self.stats.sequential_requests += 1
+            stats.sequential_requests += 1
             data_start = start
         else:
             positioning = self.config.seek_ps + self.config.half_rotation_ps
-            self.stats.positioning_ps += positioning
+            stats.positioning_ps += positioning
             data_start = start + positioning
         transfer = transfer_ps(nbytes, self.config.bandwidth_bytes_per_s)
-        self.stats.transfer_ps_total += transfer
+        stats.transfer_ps_total += transfer
         if write:
-            self.stats.bytes_written += nbytes
+            stats.bytes_written += nbytes
         else:
-            self.stats.bytes_read += nbytes
+            stats.bytes_read += nbytes
         done = data_start + transfer
         self._head_position = offset + nbytes
-        self.busy.credit(done - start)
+        self._busy.credit(done - start)
         self._arm_free_ps = done
         return data_start, done
 
@@ -239,6 +268,11 @@ class DiskArray:
         self.name = name
         self.config = config
         self.disks = [Disk(env, f"{name}-{i}", config) for i in range(num_disks)]
+        #: The lead spindle's stats when the lockstep ledger opened, or
+        #: None while every follower's own state is current.
+        self._ledger = None
+        for disk in self.disks:
+            disk._array = self
 
     def attach_faults(self, injector) -> None:
         """Subject every spindle to ``injector``'s fault plan."""
@@ -290,7 +324,18 @@ class DiskArray:
 
     def _access_burst(self, at_ps: int, offset: int, nbytes: int,
                       write: bool):
-        """Shared striped-access math for the burst path."""
+        """Shared striped-access math for the burst path.
+
+        An equal stripe over spindles in lockstep gives each the same
+        request: the lead computes it and :meth:`_sync` copies it later.
+        """
+        disks = self.disks
+        count = len(disks)
+        if not nbytes % count and (self._ledger is not None
+                                   or self._open_ledger()):
+            return disks[0]._burst(at_ps, offset // count, nbytes // count,
+                                   write)
+        self._sync()
         share = -(-nbytes // len(self.disks))
         remaining = nbytes
         started = done = None
@@ -306,6 +351,39 @@ class DiskArray:
                 done = disk_done
             remaining -= chunk
         return started, done
+
+    def _open_ledger(self) -> bool:
+        """Start a ledger if every follower is in lockstep with the lead."""
+        lead = self.disks[0]
+        if all(disk._arm_free_ps == lead._arm_free_ps
+               and disk._head_position == lead._head_position
+               for disk in self.disks):
+            self._ledger = replace(lead._stats)
+        return self._ledger is not None
+
+    def _sync(self) -> None:
+        """Give every follower what the lead gained since the ledger
+        opened, and the lead's head and arm state.
+
+        The busy area gained is positioning plus transfer, the sum of
+        the per-request ``done - start`` credits.  Crediting it once is
+        bit-identical to crediting each: every contribution to a busy
+        integral is an integer-valued float below 2**53 ps (2.5
+        simulated hours), so every partial sum is exact.
+        """
+        opened, self._ledger = self._ledger, None
+        if opened is None:
+            return
+        lead = self.disks[0]
+        gained = {f.name: getattr(lead._stats, f.name)
+                  - getattr(opened, f.name) for f in fields(DiskStats)}
+        area = gained["positioning_ps"] + gained["transfer_ps_total"]
+        for disk in self.disks[1:]:
+            for name, delta in gained.items():
+                setattr(disk._stats, name, getattr(disk._stats, name) + delta)
+            disk._busy.credit(area)
+            disk._head_position = lead._head_position
+            disk._arm_free_ps = lead._arm_free_ps
 
     def read_burst(self, at_ps: int, offset: int, nbytes: int):
         """Analytic striped read (see :meth:`Disk.access_burst`).

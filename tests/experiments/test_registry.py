@@ -141,3 +141,15 @@ def test_row_table_renders_none_cells_as_dash():
                       measured=lambda result: {})
     text = run_one(stub, scale=1.0)
     assert f"{10.0:12.3f}  {2:>12}  {'-':>12}" in text
+
+
+@pytest.mark.parametrize("experiment_id", sorted(EXPECTED_IDS))
+def test_every_experiment_runs_through_the_cli(experiment_id):
+    """Each registered experiment renders at smoke scale via ``run_one``."""
+    from repro.experiments.__main__ import run_one
+    experiment = get(experiment_id)
+    scale = min(experiment.default_scale, 0.01)
+    collect = {}
+    text = run_one(experiment, scale=scale, collect=collect)
+    assert text.startswith(f"== {experiment.title} (scale={scale:g}, ")
+    assert isinstance(collect[experiment_id]["measured"], dict)

@@ -114,20 +114,56 @@ def test_faulted_run_falls_back_to_per_block_path(monkeypatch):
 
 
 def test_service_layer_is_bit_identical(monkeypatch):
-    """Open-loop serving through the burst worker fast path."""
+    """Open-loop serving through the burst worker fast path.
+
+    Besides the :class:`ServiceResult`, every probe of the run's
+    ``System`` metrics registry (each ``disk.*`` counter and
+    utilization included) must match; only ``sim.event_count`` may
+    differ.  The third spec is the benchmarked service configuration:
+    the 16-spindle ``service_2003`` stripe, past the knee so the drop
+    path runs too.
+    """
+    import repro.cluster.system as system_module
     from repro.traffic.service import ServiceSpec, _simulate
+
+    built = []
+    build_system = system_module.System
+
+    def capture(*args, **kwargs):
+        system = build_system(*args, **kwargs)
+        built.append(system)
+        return system
+
+    monkeypatch.setattr(system_module, "System", capture)
+
+    def run(spec):
+        result = _simulate(spec)
+        snapshot = built[-1].metrics.snapshot()
+        snapshot.pop("sim.event_count")
+        return result, snapshot
 
     for spec in (
         ServiceSpec(app="grep", case="normal", topology="single"),
         ServiceSpec(app="grep", case="active", topology="fat_tree",
                     hosts=16),
+        ServiceSpec(app="grep", case="active", rate_rps=32000.0,
+                    duration_s=0.05, depth=128, workers=32,
+                    preset="service_2003",
+                    overrides=(("num_switch_cpus", 4),), seed=7),
     ):
         monkeypatch.delenv("REPRO_SIM_PERBLOCK", raising=False)
         monkeypatch.delenv("REPRO_SIM_FLUID", raising=False)
-        result_b = _simulate(spec)
+        result_b, sink_b = run(spec)
         monkeypatch.setenv("REPRO_SIM_PERBLOCK", "1")
-        result_p = _simulate(spec)
+        result_p, sink_p = run(spec)
         assert result_b == result_p, f"{spec.label}: results diverge"
+        diff = {k: (sink_p.get(k), sink_b.get(k))
+                for k in set(sink_p) | set(sink_b)
+                if sink_p.get(k) != sink_b.get(k)}
+        assert diff == {}, f"{spec.label}: counters diverge: {diff}"
+    assert result_b.dropped > 0, "the past-knee spec never dropped"
+    assert sum(v for k, v in sink_b.items()
+               if k.startswith("disk.") and k.endswith(".requests")) > 0
 
 
 def test_perblock_flag_controls_path(monkeypatch):

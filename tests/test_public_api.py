@@ -25,7 +25,7 @@ PACKAGES = [
 
 
 def test_version():
-    assert repro.__version__ == "2.0.1"
+    assert repro.__version__ == "2.0.2"
 
 
 @pytest.mark.parametrize("package", PACKAGES)
