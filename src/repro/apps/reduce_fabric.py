@@ -40,6 +40,7 @@ from ..cluster.fabric import TopologySpec, build_fabric
 from ..cluster.placement import (PLACEMENT_POLICIES, plan_placement,
                                  run_placed_reduction)
 from ..metrics.results import CaseResult
+from ..net.link import link_fault_report
 from ..obs.registry import MetricsRegistry
 from ..sim.core import Environment
 from .reduction import (REDUCE_TO_ONE, REDUCTION_HCA, VECTOR_BYTES,
@@ -151,32 +152,7 @@ class FabricReduceApp:
         extra["fabric_depth"] = float(fabric.depth)
         extra["fabric_switches"] = float(len(fabric.switches))
         if injector is not None:
-            retransmits = dropped = corrupted = 0
-            capped = abandoned = 0
-            for node in fabric.switches:
-                for link in node.switch._tx_links:
-                    if link is None:
-                        continue
-                    retransmits += link.stats.retransmits
-                    dropped += link.stats.packets_dropped
-                    corrupted += link.stats.packets_corrupted
-                    capped += link.stats.capped_backoffs
-                    abandoned += link.stats.packets_abandoned
-            for host in fabric.hosts:
-                tx = host.hca._tx_link
-                if tx is not None:
-                    retransmits += tx.stats.retransmits
-                    dropped += tx.stats.packets_dropped
-                    corrupted += tx.stats.packets_corrupted
-                    capped += tx.stats.capped_backoffs
-                    abandoned += tx.stats.packets_abandoned
-            extra["link_retransmits"] = float(retransmits)
-            extra["link_packets_dropped"] = float(dropped)
-            extra["link_packets_corrupted"] = float(corrupted)
-            if capped:
-                extra["link_capped_backoffs"] = float(capped)
-            if abandoned:
-                extra["link_packets_abandoned"] = float(abandoned)
+            extra.update(link_fault_report(fabric.links.values()))
             if fabric.failstop_armed:
                 extra["failstop_switch_kills"] = float(fabric.ft.switch_kills)
                 extra["failstop_link_kills"] = float(fabric.ft.link_kills)

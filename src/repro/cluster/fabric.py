@@ -18,16 +18,20 @@ links, and HCAs with consistent routing tables:
 Both expose the same :class:`Fabric` interface — ``hosts``, ``levels``,
 ``aggregation_root``, ``leaf_of``, ``path`` tracing, and ``validate()``
 — which is what the handler-placement engine
-(:mod:`repro.cluster.placement`) programs against.
+(:mod:`repro.cluster.placement`) programs against.  :class:`TreeFabric`
+is the only tree builder: the Figure 15/16 reduction tree
+(:class:`repro.cluster.topology.SwitchTree`) is a ``kind="tree"`` fabric
+too.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
-from ..net.hca import HCA, HcaConfig
+from ..net.hca import HcaConfig
 from ..net.link import Link
 from ..net.routing import RoutingError
 from ..sim.core import Environment
@@ -35,11 +39,45 @@ from ..switch.active import ActiveSwitch
 from ..switch.base import SwitchConfig
 from .config import ClusterConfig
 from .node import ComputeNode
-from .topology import SwitchTree, TopologyError, TreeSwitch
 from .validation import validate_fabric
 
 #: Recognized topology kinds.
 TOPOLOGY_KINDS = ("single", "tree", "fat_tree")
+
+
+class TopologyError(ValueError):
+    """A topology specification cannot be wired consistently."""
+
+
+@dataclass
+class TreeSwitch:
+    """One switch plus its tree bookkeeping."""
+
+    switch: ActiveSwitch
+    level: int
+    parent: Optional["TreeSwitch"] = None
+    children: List["TreeSwitch"] = field(default_factory=list)
+    hosts: List[ComputeNode] = field(default_factory=list)
+    #: Hosts in this switch's subtree (for routing).
+    subtree_hosts: List[str] = field(default_factory=list)
+    #: Fail-stop ground truth: when this switch died (None = alive).
+    failed_at: Optional[int] = None
+    #: When a surviving neighbor first *detected* the death; the gap to
+    #: ``failed_at`` is the fabric's detection latency.
+    detected_down_at: Optional[int] = None
+
+    @property
+    def is_down(self) -> bool:
+        return self.failed_at is not None
+
+    @property
+    def name(self) -> str:
+        return self.switch.name
+
+    @property
+    def fan_in(self) -> int:
+        """Streams this switch combines: hosts (leaf) or children."""
+        return len(self.hosts) if self.hosts else len(self.children)
 
 
 class FabricPartitioned(TopologyError):
@@ -509,13 +547,28 @@ class Fabric:
     def validate(self) -> None:
         raise NotImplementedError
 
+    def _audit(self, header: str, problems: List[str]) -> None:
+        """Finish a shape's ``validate()``: add the routing walk's
+        issues (every table, hop by hop) to ``problems`` and raise them
+        under ``header`` — as :class:`FabricPartitioned` when a
+        fail-stop left hosts unreachable, else :class:`TopologyError`."""
+        problems.extend(str(issue) for issue in validate_fabric(
+            [node.switch for node in self.switches],
+            [host.hca for host in self.hosts]))
+        if not problems:
+            return
+        message = f"{header}:\n  " + "\n  ".join(problems)
+        if self._has_down() and any("unreachable" in p for p in problems):
+            raise FabricPartitioned(message)
+        raise TopologyError(message)
+
     # -- shared wiring helpers -----------------------------------------
     def _make_hosts(self) -> None:
-        for i in range(self.spec.num_hosts):
-            node = ComputeNode(self.env, f"host{i}", self.cluster_config)
-            node.hca = HCA(self.env, node.name, node.cpu,
-                           config=self.hca_config)
-            self.hosts.append(node)
+        # The hosts' adapters take the fabric's HCA config, so each
+        # ComputeNode builds its HCA once, with the right settings.
+        config = replace(self.cluster_config, hca=self.hca_config)
+        self.hosts = [ComputeNode(self.env, f"host{i}", config)
+                      for i in range(self.spec.num_hosts)]
 
     def _link(self, src: str, dst: str) -> Link:
         link = Link(self.env, f"{src}->{dst}", self.cluster_config.link)
@@ -545,30 +598,154 @@ class Fabric:
 
 
 class TreeFabric(Fabric):
-    """Multi-level aggregation tree (wraps :class:`SwitchTree`)."""
+    """Multi-level aggregation tree: the paper's Section 6 shape.
+
+    "We can organize the switches logically in a tree and have each
+    leaf switch combine the vectors from compute nodes connected to it
+    and send the result vector to its parent switch."  Leaves take
+    ``hosts_per_leaf`` hosts on ports ``0..h-1``; every internal level
+    groups ``radix`` children (default ``hosts_per_leaf``, the paper's
+    "half the ports face down" shape and its ``log_{N/2}(p)`` scaling)
+    under one parent.  A child's last port uplinks to its parent and is
+    its default route, so host-to-host messages (the normal MST
+    reduction) transit the least common ancestor.  Internal switches
+    also route every descendant *switch* name downward: the placement
+    engine addresses partial results and broadcasts to switches.
+
+    Both ``hosts_per_leaf`` and ``radix`` must leave the uplink port
+    (``switch_ports - 1``) free, or construction raises
+    :class:`TopologyError` instead of silently double-wiring a port.
+    """
 
     def __init__(self, env, spec, cluster_config=None, hca_config=None,
                  injector=None):
         super().__init__(env, spec, cluster_config, hca_config, injector)
-        self.tree = SwitchTree(
-            env, num_hosts=spec.num_hosts,
-            hosts_per_leaf=spec.hosts_per_leaf,
-            switch_ports=spec.switch_ports,
-            cluster_config=self.cluster_config,
-            hca_config=self.hca_config,
-            radix=spec.radix,
-            injector=injector)
-        self.hosts = self.tree.hosts
-        self.levels = self.tree.levels
+        ports, per_leaf = spec.switch_ports, spec.hosts_per_leaf
+        if per_leaf < 1 or per_leaf > ports - 1:
+            raise TopologyError(
+                f"hosts_per_leaf={per_leaf} must be in [1, {ports - 1}] to "
+                f"leave an uplink port on a {ports}-port switch")
+        radix = per_leaf if spec.radix is None else spec.radix
+        if radix < 2 or radix > ports - 1:
+            raise TopologyError(
+                f"radix={radix} must be in [2, {ports - 1}] to leave an "
+                f"uplink port on a {ports}-port switch")
+        self.hosts_per_leaf = per_leaf
+        self.radix = radix
+        self._make_hosts()
+
+        serial = itertools.count()
+
+        def new_switch(level: int) -> TreeSwitch:
+            return self._new_switch(f"sw-l{level}-{next(serial)}", level)
+
+        leaves: List[TreeSwitch] = []
+        for start in range(0, spec.num_hosts, per_leaf):
+            leaf = new_switch(0)
+            for port, host in enumerate(self.hosts[start:start + per_leaf]):
+                self._wire_host(leaf, port, host)
+            leaves.append(leaf)
+        self.levels = [leaves]
+        while len(self.levels[-1]) > 1:
+            children, level = self.levels[-1], len(self.levels)
+            parents: List[TreeSwitch] = []
+            for start in range(0, len(children), radix):
+                parent = new_switch(level)
+                for port, child in enumerate(children[start:start + radix]):
+                    self._wire_child(parent, port, child)
+                parents.append(parent)
+            self.levels.append(parents)
+        self.root = self.levels[-1][0]
+        # Downward routes: every subtree host and every descendant
+        # switch.  The root has no uplink, so anything unknown there is
+        # an error (everything is below it).
+        for level in self.levels[1:]:
+            for node in level:
+                for port, child in enumerate(node.children):
+                    node.switch.routing.add_many(child.subtree_hosts, port)
+                    node.switch.routing.add_many(_subtree_switches(child),
+                                                 port)
         self._arm_failstop()
 
+    def _wire_child(self, parent: TreeSwitch, port: int,
+                    child: TreeSwitch) -> None:
+        uplink = child.switch.config.num_ports - 1
+        up = self._link(child.name, parent.name)
+        down = self._link(parent.name, child.name)
+        parent.switch.connect(port, tx_link=down, rx_link=up)
+        child.switch.connect(uplink, tx_link=up, rx_link=down)
+        parent.switch.routing.add(child.name, port)
+        child.switch.routing.add(parent.name, uplink)
+        child.switch.routing.set_default(uplink)
+        child.parent = parent
+        parent.children.append(child)
+        parent.subtree_hosts.extend(child.subtree_hosts)
+
     def validate(self) -> None:
-        try:
-            self.tree.validate()
-        except TopologyError as exc:
-            if self._has_down() and "unreachable" in str(exc):
-                raise FabricPartitioned(str(exc)) from exc
-            raise
+        """Audit port accounting, routing tables, and fan-in.
+
+        Partially filled last leaves (``num_hosts`` not a multiple of
+        ``hosts_per_leaf``) are legal; what this guards against is any
+        shape where the wiring and the routing tables disagree — every
+        such inconsistency raises :class:`TopologyError` up front
+        instead of mis-routing packets mid-simulation (or
+        :class:`FabricPartitioned` when a fail-stop left hosts
+        unreachable).
+        """
+        num_hosts = self.spec.num_hosts
+        problems: List[str] = []
+        # Host partitioning: every host on exactly one leaf, routed there.
+        seen = {}
+        for leaf in self.levels[0]:
+            if leaf.children:
+                problems.append(f"{leaf.name}: leaf has switch children")
+            for host in leaf.hosts:
+                if host.name in seen:
+                    problems.append(
+                        f"{host.name} attached to both {seen[host.name]} "
+                        f"and {leaf.name}")
+                seen[host.name] = leaf.name
+                if not leaf.switch.routing.has_route(host.name):
+                    problems.append(
+                        f"{leaf.name}: no explicit route to its own host "
+                        f"{host.name}")
+        if len(seen) != num_hosts:
+            problems.append(f"{len(seen)} hosts wired, expected {num_hosts}")
+        # Fan-in and port accounting per switch.
+        for level_index, level in enumerate(self.levels):
+            for node in level:
+                expected_fan = (len(node.hosts) if level_index == 0
+                                else len(node.children))
+                if node.fan_in != expected_fan:
+                    problems.append(
+                        f"{node.name}: fan_in {node.fan_in} != "
+                        f"{expected_fan} attached streams")
+                downlinks = len(node.hosts) + len(node.children)
+                uplinks = 1 if node.parent is not None else 0
+                connected = len(node.switch.connected_ports())
+                if connected != downlinks + uplinks:
+                    problems.append(
+                        f"{node.name}: {connected} connected ports, "
+                        f"expected {downlinks} down + {uplinks} up")
+                if node.parent is None and \
+                        node.switch.routing.default_port is not None:
+                    problems.append(
+                        f"{node.name}: root must not have a default "
+                        f"(uplink) port")
+        # Subtree bookkeeping matches the actual host set.
+        if sorted(self.root.subtree_hosts) != sorted(seen):
+            problems.append("root subtree_hosts disagrees with wired hosts")
+        self._audit(f"inconsistent switch tree ({num_hosts} hosts, "
+                    f"{self.hosts_per_leaf}/leaf, radix {self.radix})",
+                    problems)
+
+
+def _subtree_switches(node: TreeSwitch) -> List[str]:
+    """``node`` and every switch below it, depth first."""
+    names = [node.name]
+    for child in node.children:
+        names.extend(_subtree_switches(child))
+    return names
 
 
 class SingleFabric(TreeFabric):
@@ -669,18 +846,9 @@ class FatTreeFabric(Fabric):
                 problems.append(
                     f"{spine.name}: fan_in {spine.fan_in} != "
                     f"{spec.num_leaves} leaves")
-        for issue in validate_fabric(
-                [node.switch for node in self.switches],
-                [host.hca for host in self.hosts]):
-            problems.append(str(issue))
-        if problems:
-            header = (f"inconsistent fat-tree ({spec.num_hosts} hosts, "
-                      f"{spec.num_leaves} leaves x {spec.num_spines} "
-                      f"spines):\n  " + "\n  ".join(problems))
-            if self._has_down() and \
-                    any("unreachable" in p for p in problems):
-                raise FabricPartitioned(header)
-            raise TopologyError(header)
+        self._audit(f"inconsistent fat-tree ({spec.num_hosts} hosts, "
+                    f"{spec.num_leaves} leaves x {spec.num_spines} spines)",
+                    problems)
 
 
 _FABRICS = {

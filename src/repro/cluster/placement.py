@@ -25,6 +25,15 @@ send unit — and :func:`run_placed_reduction` drives a full packet-level
 reduction through it.  Per-level combine/forward counters land in a
 :class:`~repro.obs.MetricsRegistry` and, when the environment carries a
 trace collector, each combine/finalize emits a trace instant.
+
+This is the simulator's one switch-side reduction engine.  The finalize
+instance delivers the result per the paper's three flavours (Section 5,
+Figures 15/16): the whole vector to host 0 (``reduce-to-one``), slice
+``j`` to host ``j`` (``distributed``), or the whole vector to every
+host, broadcast back down the tree (``reduce-to-all``).  The Figure
+15/16 switch-tree reductions
+(:func:`repro.apps.reduction.run_active_reduction`) are ``per_level``
+plans on a :class:`~repro.cluster.fabric.TreeFabric`.
 """
 
 from __future__ import annotations
@@ -34,18 +43,25 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..net.hca import AdapterSendError
 from ..net.packet import ActiveHeader
-from .fabric import Fabric, FabricPartitioned
-from .topology import TopologyError
+from .fabric import Fabric, FabricPartitioned, TopologyError, TreeSwitch
 
 #: Handler IDs installed by the placement engine.
 H_COMBINE = 1
+H_BROADCAST = 2
+
+#: Where the finalized vector goes (the paper's reduction flavours).
+REDUCE_TO_ONE = "reduce-to-one"
+DISTRIBUTED = "distributed"
+REDUCE_TO_ALL = "reduce-to-all"
+REDUCTION_MODES = (REDUCE_TO_ONE, DISTRIBUTED, REDUCE_TO_ALL)
 
 
 class CollectiveTimeout(Exception):
     """A placed collective exhausted its repair/retry attempts."""
 
-#: Switch-side vector add: 2 cycles/word (buffer operand streams in at
-#: single-cycle access; the add overlaps the copy — see apps/reduction).
+#: Switch-side vector add: 2 cycles/word (one buffer operand streams in
+#: at single-cycle access, and the add overlaps the copy thanks to the
+#: valid bits).
 SWITCH_ADD_CYCLES_PER_WORD = 2
 
 PLACEMENT_POLICIES = ("root_only", "leaf_combine", "per_level")
@@ -176,15 +192,29 @@ def region_stride(vector_bytes: int) -> int:
     return -(-vector_bytes // 512) * 512
 
 
+def slice_bounds(words: int, parts: int) -> List[Tuple[int, int]]:
+    """Word ranges ``[lo, hi)`` of a distributed reduce's ``parts``
+    slices: slice ``j`` starts at ``j * words // parts``, so every word
+    lands in exactly one slice even when ``parts`` does not divide
+    ``words`` (and the slices are equal when it does)."""
+    return [(j * words // parts, (j + 1) * words // parts)
+            for j in range(parts)]
+
+
 def install_plan(fabric: Fabric, plan: PlacementPlan, vector_bytes: int,
-                 done: Dict, metrics=None, epoch: int = 0) -> None:
+                 done: Dict, metrics=None, epoch: int = 0,
+                 mode: str = REDUCE_TO_ONE) -> None:
     """Register the plan's combine/finalize handlers on the fabric.
 
     ``done["result"]`` receives the finalized vector.  ``metrics`` is an
     optional :class:`~repro.obs.MetricsRegistry`; each placement level
     gets ``fabric.level<L>.combines`` / ``.partials_sent`` counters.
-    The finalize instance delivers the result to ``hosts[0]`` (the
-    paper's reduce-to-one).
+    ``mode`` picks the delivery: ``reduce-to-one`` sends the vector to
+    ``hosts[0]``; ``distributed`` sends host ``j`` its
+    :func:`slice_bounds` slice (a message of the slice's bytes, at
+    least 4); ``reduce-to-all`` broadcasts it down ``children`` to every
+    leaf's ``hosts`` through an ``H_BROADCAST`` handler on each switch.
+    Every delivery's payload is ``(epoch, vector-or-slice)``.
 
     ``epoch`` makes contributions idempotent across fail-stop repairs:
     every payload carries ``(epoch, contributor, vector)``, and a
@@ -197,10 +227,14 @@ def install_plan(fabric: Fabric, plan: PlacementPlan, vector_bytes: int,
     invocation finishing after a re-install cannot touch the new
     epoch's partial sums.
     """
+    if mode not in REDUCTION_MODES:
+        raise ValueError(f"unknown reduction mode {mode!r}; "
+                         f"expected one of {REDUCTION_MODES}")
     env = fabric.env
     words = vector_bytes // 4
     stride = region_stride(vector_bytes)
     by_name = {node.name: node for node in fabric.switches}
+    bounds = slice_bounds(words, len(fabric.hosts))
 
     counters = {}
     if metrics is not None:
@@ -209,18 +243,35 @@ def install_plan(fabric: Fabric, plan: PlacementPlan, vector_bytes: int,
                 metrics.counter(f"fabric.level{level}.combines"),
                 metrics.counter(f"fabric.level{level}.partials_sent"))
 
+    def broadcast(ctx, node: TreeSwitch, vector):
+        if node.hosts:
+            # Leaf: deliver to every attached compute node.
+            for host in node.hosts:
+                yield from ctx.send(host.name, vector_bytes,
+                                    payload=(epoch, list(vector)))
+            return
+        for child in node.children:
+            yield from ctx.send(
+                child.name, vector_bytes,
+                active=ActiveHeader(handler_id=H_BROADCAST, address=0x0),
+                payload=(epoch, list(vector)))
+
+    def deliver(ctx, node: TreeSwitch, result):
+        if mode == REDUCE_TO_ONE:
+            yield from ctx.send(fabric.hosts[0].name, vector_bytes,
+                                payload=(epoch, result))
+        elif mode == DISTRIBUTED:
+            for host, (lo, hi) in zip(fabric.hosts, bounds):
+                yield from ctx.send(host.name, max(4, (hi - lo) * 4),
+                                    payload=(epoch, result[lo:hi]))
+        else:
+            yield from broadcast(ctx, node, result)
+
     for placement in plan.placements.values():
         node = by_name[placement.switch]
-        switch = node.switch
         state = {"acc": [0] * words, "count": 0, "seen": set()}
-        # Observability mirrors (tests/tools may inspect these); the
-        # handler itself only ever touches its closure ``state``.
-        switch.kernel_state["fabric_acc"] = state["acc"]
-        switch.kernel_state["fabric_count"] = 0
-        switch.kernel_state["fabric_expected"] = placement.expected
-        switch.kernel_state["fabric_epoch"] = epoch
 
-        def combine_handler(ctx, switch=switch, placement=placement,
+        def combine_handler(ctx, node=node, placement=placement,
                             state=state):
             yield from ctx.read(ctx.address, vector_bytes)
             msg_epoch, contributor, incoming = ctx.arg
@@ -240,7 +291,6 @@ def install_plan(fabric: Fabric, plan: PlacementPlan, vector_bytes: int,
             yield from ctx.deallocate_range(ctx.address,
                                             ctx.address + stride)
             state["count"] += 1
-            switch.kernel_state["fabric_count"] = state["count"]
             pair = counters.get(placement.level)
             if pair is not None:
                 pair[0].add(1)
@@ -253,6 +303,8 @@ def install_plan(fabric: Fabric, plan: PlacementPlan, vector_bytes: int,
                 return
             result = list(accumulator)
             if placement.parent is not None:
+                # Each child forwards at a distinct staging address so
+                # the parent's direct-mapped ATB takes all partials.
                 if pair is not None:
                     pair[1].add(1)
                 yield from ctx.send(
@@ -261,20 +313,30 @@ def install_plan(fabric: Fabric, plan: PlacementPlan, vector_bytes: int,
                                         address=placement.slot * stride),
                     payload=(epoch, placement.slot, result))
                 return
-            # Finalize: deliver to host 0 (reduce-to-one).
             if env.trace is not None:
                 env.trace.instant("fabric", "finalize", env.now,
                                   switch=placement.switch,
                                   level=placement.level)
             done["result"] = result
-            yield from ctx.send(fabric.hosts[0].name, vector_bytes,
-                                payload=(epoch, result))
+            yield from deliver(ctx, node, result)
 
         # Retry attempts (epoch > 0) re-install over the previous
         # attempt's handler; a first install must stay strict so a
         # double install_plan is still a loud bug.
-        switch.register_handler(H_COMBINE, combine_handler,
-                                replace=epoch > 0)
+        node.switch.register_handler(H_COMBINE, combine_handler,
+                                     replace=epoch > 0)
+
+    if mode == REDUCE_TO_ALL:
+        for node in fabric.switches:
+            def broadcast_handler(ctx, node=node):
+                # The final vector from the parent: drain it and fan out.
+                yield from ctx.read(ctx.address, vector_bytes)
+                yield from ctx.deallocate_range(ctx.address,
+                                                ctx.address + stride)
+                yield from broadcast(ctx, node, ctx.arg[1])
+
+            node.switch.register_handler(H_BROADCAST, broadcast_handler,
+                                         replace=epoch > 0)
 
 
 def repair_plan(fabric: Fabric, plan: PlacementPlan,
@@ -320,13 +382,18 @@ def repair_plan(fabric: Fabric, plan: PlacementPlan,
 def run_placed_reduction(fabric: Fabric, plan: PlacementPlan,
                          vectors: List[List[int]], metrics=None,
                          timeout_ps: Optional[int] = None,
-                         max_attempts: Optional[int] = None) -> Dict:
+                         max_attempts: Optional[int] = None,
+                         mode: str = REDUCE_TO_ONE) -> Dict:
     """Full packet-level reduction through the placed handlers.
 
     Every host fires its vector at its entry switch as an active
-    message; the plan's handlers fold and forward partials; host 0
-    polls the final vector.  Returns ``{"result": [...],
-    "latency_ps": ...}``.
+    message; the plan's handlers fold and forward partials; the
+    destination hosts of ``mode`` (host 0 for ``reduce-to-one``, every
+    host otherwise — see :func:`install_plan`) poll what the finalize
+    instance delivers.  Returns ``{"result": [...], "delivered":
+    [...], "latency_ps": ...}``: ``delivered`` holds each destination
+    host's payload in host order, and ``result`` is the reduced vector
+    (for ``distributed``, the host slices joined in order).
 
     With ``timeout_ps`` set (defaulted from the fault plan's
     ``failstop.collective_timeout_ps`` when fail-stop events are
@@ -373,33 +440,37 @@ def run_placed_reduction(fabric: Fabric, plan: PlacementPlan,
             # partition diagnosis at repair time) owns recovery.
             done["send_failures"] = done.get("send_failures", 0) + 1
 
-    def receiver():
-        # One long-lived receiver across attempts: drains stale-epoch
-        # finalizes (a timed-out attempt may still complete late) and
-        # returns the first current-epoch result.
+    def receiver(host):
+        # One long-lived receiver per destination across attempts:
+        # drains stale-epoch deliveries (a timed-out attempt may still
+        # complete late) and returns the first current-epoch payload.
         while True:
-            message = yield from hosts[0].hca.poll_receive()
+            message = yield from host.hca.poll_receive()
             msg_epoch, payload = message.payload
             if msg_epoch == sync["epoch"]:
                 return payload
 
-    recv = env.process(receiver(), name="fab-recv-0")
+    destinations = hosts[:1] if mode == REDUCE_TO_ONE else hosts
+    recvs = [env.process(receiver(host), name=f"fab-recv-{i}")
+             for i, host in enumerate(destinations)]
+    if timeout_ps is not None:
+        received = recvs[0] if len(recvs) == 1 else env.all_of(recvs)
     current_plan = plan
     attempt = 0
     while True:
         sync["epoch"] = attempt
         install_plan(fabric, current_plan, vector_bytes, done,
-                     metrics=metrics, epoch=attempt)
+                     metrics=metrics, epoch=attempt, mode=mode)
         procs = [env.process(sender(i, current_plan, attempt),
                              name=(f"fab-send-{i}" if attempt == 0
                                    else f"fab-send-{i}-e{attempt}"))
                  for i in range(len(hosts))]
         if timeout_ps is None:
-            env.run(until=env.all_of(procs + [recv]))
+            env.run(until=env.all_of(procs + recvs))
             break
         deadline = env.timeout(timeout_ps)
-        env.run(until=env.any_of([recv, deadline]))
-        if recv.triggered:
+        env.run(until=env.any_of([received, deadline]))
+        if received.triggered:
             break
         attempt += 1
         if attempt >= max_attempts:
@@ -416,7 +487,12 @@ def run_placed_reduction(fabric: Fabric, plan: PlacementPlan,
                                   attempt=attempt, root=repaired.root)
         current_plan = repaired
     done["latency_ps"] = env.now
-    done["result"] = list(recv.value)
+    done["delivered"] = [list(recv.value) for recv in recvs]
+    if mode == DISTRIBUTED:
+        done["result"] = [word for piece in done["delivered"]
+                          for word in piece]
+    else:
+        done["result"] = list(done["delivered"][0])
     if timeout_ps is not None:
         done["attempts"] = attempt + 1
         done["repairs"] = fabric.ft.repairs

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 import heapq
 from collections import deque
 
-from ..net.link import Link
+from ..net.link import Link, link_fault_report
 from ..net.packet import HEADER_BYTES, MTU
 from ..obs.registry import MetricsRegistry
 from ..sim.burst import perblock_requested
@@ -268,24 +268,8 @@ class System:
             report["trace_events_dropped"] = float(trace.dropped)
         if self.injector is None:
             return report
-        retransmits = dropped = corrupted = 0
-        capped = abandoned = 0
-        for to_switch, from_switch in self._links.values():
-            for link in (to_switch, from_switch):
-                retransmits += link.stats.retransmits
-                dropped += link.stats.packets_dropped
-                corrupted += link.stats.packets_corrupted
-                capped += link.stats.capped_backoffs
-                abandoned += link.stats.packets_abandoned
-        report["link_retransmits"] = float(retransmits)
-        report["link_packets_dropped"] = float(dropped)
-        report["link_packets_corrupted"] = float(corrupted)
-        # Fail-stop counters only appear when the machinery fired, so
-        # transient-only chaos reports keep their pre-1.5 key set.
-        if capped:
-            report["link_capped_backoffs"] = float(capped)
-        if abandoned:
-            report["link_packets_abandoned"] = float(abandoned)
+        report.update(link_fault_report(
+            link for pair in self._links.values() for link in pair))
         ports_failed = self.switch.stats.ports_failed
         tx_abandoned = self.switch.stats.tx_abandoned
         if ports_failed:

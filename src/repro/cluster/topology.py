@@ -1,308 +1,39 @@
-"""Multi-switch topologies: the reduction experiments' switch tree.
+"""The reduction experiments' switch tree (paper Figures 15/16).
 
-"We can organize the switches logically in a tree and have each leaf
-switch combine the vectors from compute nodes connected to it and send
-the result vector to its parent switch."  Each switch has 16 ports; 8
-of a leaf's ports connect compute nodes (the paper's assumption), one
-port uplinks to its parent.
-
-The same fabric serves the *normal* MST reduction: routing tables send
-host-addressed packets down the correct child port or up the default
-uplink, so host-to-host messages transit the tree through the least
-common ancestor.
-
-Higher-level declarative topologies (multi-level trees with a chosen
-radix, fat-tree/Clos fabrics with ECMP cores) are built on top of this
-module by :mod:`repro.cluster.fabric`.
+:class:`SwitchTree` is a keyword constructor for a ``kind="tree"``
+:class:`~repro.cluster.fabric.TreeFabric` — 16-port switches, 8 hosts
+per leaf, one uplink port — which does all the wiring, routing and
+auditing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
-from ..net.hca import HCA, HcaConfig
-from ..net.link import Link, LinkConfig
+from ..net.hca import HcaConfig
 from ..sim.core import Environment
-from ..switch.active import ActiveSwitch, ActiveSwitchConfig
-from ..switch.base import SwitchConfig
 from .config import ClusterConfig
-from .node import ComputeNode
+from .fabric import TopologyError, TopologySpec, TreeFabric, TreeSwitch
+
+__all__ = ["SwitchTree", "TopologyError", "TreeSwitch"]
 
 
-class TopologyError(ValueError):
-    """A topology specification cannot be wired consistently."""
+class SwitchTree(TreeFabric):
+    """A tree of active switches with ``num_hosts`` hosts on the leaves.
 
-
-@dataclass
-class TreeSwitch:
-    """One switch plus its tree bookkeeping."""
-
-    switch: ActiveSwitch
-    level: int
-    parent: Optional["TreeSwitch"] = None
-    children: List["TreeSwitch"] = field(default_factory=list)
-    hosts: List[ComputeNode] = field(default_factory=list)
-    #: Hosts in this switch's subtree (for routing).
-    subtree_hosts: List[str] = field(default_factory=list)
-    #: Fail-stop ground truth: when this switch died (None = alive).
-    failed_at: Optional[int] = None
-    #: When a surviving neighbor first *detected* the death; the gap to
-    #: ``failed_at`` is the fabric's detection latency.
-    detected_down_at: Optional[int] = None
-
-    @property
-    def is_down(self) -> bool:
-        return self.failed_at is not None
-
-    @property
-    def name(self) -> str:
-        return self.switch.name
-
-    @property
-    def fan_in(self) -> int:
-        """Streams this switch combines: hosts (leaf) or children."""
-        return len(self.hosts) if self.hosts else len(self.children)
-
-
-class SwitchTree:
-    """A tree of active switches with hosts on the leaves.
-
-    ``radix`` is the number of children per internal switch; it
-    defaults to ``hosts_per_leaf`` (the paper's "half the ports face
-    down" shape).  Both must leave the uplink port (``switch_ports -
-    1``) free, or the constructor raises :class:`TopologyError` instead
-    of silently double-wiring a port.
+    Switch, link and host settings come from ``cluster_config`` (its
+    ``active_switch``, ``link`` and ``hca``); ``hca_config`` overrides
+    the hosts' adapters alone, as the reductions' messaging-library
+    costs do.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        num_hosts: int,
-        hosts_per_leaf: int = 8,
-        switch_ports: int = 16,
-        cluster_config: Optional[ClusterConfig] = None,
-        hca_config: Optional[HcaConfig] = None,
-        link_config: Optional[LinkConfig] = None,
-        active_config: Optional[ActiveSwitchConfig] = None,
-        radix: Optional[int] = None,
-        injector=None,
-    ):
-        if num_hosts < 1:
-            raise TopologyError("need at least one host")
-        if hosts_per_leaf < 1 or hosts_per_leaf > switch_ports - 1:
-            raise TopologyError(
-                f"hosts_per_leaf={hosts_per_leaf} must be in "
-                f"[1, {switch_ports - 1}] to leave an uplink port on a "
-                f"{switch_ports}-port switch")
-        radix = hosts_per_leaf if radix is None else radix
-        if radix < 2 or radix > switch_ports - 1:
-            raise TopologyError(
-                f"radix={radix} must be in [2, {switch_ports - 1}] to "
-                f"leave an uplink port on a {switch_ports}-port switch")
-        self.env = env
-        self.num_hosts = num_hosts
-        self.hosts_per_leaf = hosts_per_leaf
-        self.radix = radix
-        # Mutable-default hygiene: configs are constructed (or taken
-        # from the cluster config) per tree, never shared module-level
-        # instances — one tree's configuration can never leak into the
-        # next (regression: shared dataclass default arguments).
-        cluster_config = cluster_config or ClusterConfig()
-        self.link_config = (link_config if link_config is not None
-                            else cluster_config.link)
-        active_config = (active_config if active_config is not None
-                         else cluster_config.active_switch)
-        #: Optional FaultInjector; every link and switch in the tree is
-        #: subjected to its plan.  None builds a perfect fabric.
-        self.injector = injector
-        self._switch_count = 0
-        hca_config = hca_config or cluster_config.hca
-        switch_config = SwitchConfig(
-            num_ports=switch_ports,
-            routing_latency_ps=cluster_config.switch.routing_latency_ps)
-
-        # Hosts.
-        self.hosts: List[ComputeNode] = []
-        for i in range(num_hosts):
-            node = ComputeNode(env, f"host{i}", cluster_config)
-            node.hca = HCA(env, node.name, node.cpu, config=hca_config)
-            self.hosts.append(node)
-
-        # Leaves.
-        def new_switch(level: int) -> TreeSwitch:
-            name = f"sw-l{level}-{self._switch_count}"
-            self._switch_count += 1
-            switch = ActiveSwitch(env, name, switch_config, active_config)
-            if self.injector is not None:
-                switch.attach_faults(self.injector)
-            return TreeSwitch(switch=switch, level=level)
-
-        self.levels: List[List[TreeSwitch]] = []
-        leaves: List[TreeSwitch] = []
-        for start in range(0, num_hosts, hosts_per_leaf):
-            leaf = new_switch(0)
-            for port_offset, host in enumerate(
-                    self.hosts[start:start + hosts_per_leaf]):
-                self._wire_host(leaf, port_offset, host)
-            leaves.append(leaf)
-        self.levels.append(leaves)
-
-        # Internal levels: ``radix`` children per parent — the default
-        # (radix == hosts_per_leaf) matches the paper's assumption that
-        # half the ports face down and its log_{N/2}(p) scaling factor.
-        level = 0
-        current = leaves
-        while len(current) > 1:
-            level += 1
-            parents: List[TreeSwitch] = []
-            for start in range(0, len(current), radix):
-                parent = new_switch(level)
-                for port_offset, child in enumerate(
-                        current[start:start + radix]):
-                    self._wire_switches(parent, port_offset, child)
-                parents.append(parent)
-            self.levels.append(parents)
-            current = parents
-        self.root = current[0]
-        self._finalize_routing()
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def _wire_host(self, leaf: TreeSwitch, port: int, host: ComputeNode):
-        to_switch = Link(self.env, f"{host.name}->{leaf.name}",
-                         self.link_config)
-        from_switch = Link(self.env, f"{leaf.name}->{host.name}",
-                           self.link_config)
-        if self.injector is not None:
-            to_switch.attach_faults(self.injector)
-            from_switch.attach_faults(self.injector)
-        host.hca.attach(tx_link=to_switch, rx_link=from_switch)
-        leaf.switch.connect(port, tx_link=from_switch, rx_link=to_switch)
-        leaf.switch.routing.add(host.name, port)
-        leaf.hosts.append(host)
-        leaf.subtree_hosts.append(host.name)
-
-    def _wire_switches(self, parent: TreeSwitch, port: int,
-                       child: TreeSwitch):
-        child_uplink_port = child.switch.config.num_ports - 1
-        up = Link(self.env, f"{child.name}->{parent.name}", self.link_config)
-        down = Link(self.env, f"{parent.name}->{child.name}", self.link_config)
-        if self.injector is not None:
-            up.attach_faults(self.injector)
-            down.attach_faults(self.injector)
-        parent.switch.connect(port, tx_link=down, rx_link=up)
-        child.switch.connect(child_uplink_port, tx_link=up, rx_link=down)
-        parent.switch.routing.add(child.name, port)
-        child.switch.routing.add(parent.name, child_uplink_port)
-        child.switch.routing.set_default(child_uplink_port)
-        child.parent = parent
-        parent.children.append(child)
-        parent.subtree_hosts.extend(child.subtree_hosts)
-
-    def _finalize_routing(self) -> None:
-        # Downward routes at internal switches: every subtree host, and
-        # every descendant *switch* (placement engines address partial
-        # results and broadcasts to switch names, not just hosts).
-        # Every switch also reaches every other node via its up/down
-        # defaults.
-        for level in self.levels[1:]:
-            for node in level:
-                for port, child in enumerate(node.children):
-                    node.switch.routing.add_many(child.subtree_hosts, port)
-                    node.switch.routing.add_many(
-                        self._descendant_switches(child), port)
-        # The root has no uplink: anything unknown is an error, which is
-        # what we want (all hosts/switches are below it).
-
-    def _descendant_switches(self, node: TreeSwitch) -> List[str]:
-        names = [node.name]
-        for child in node.children:
-            names.extend(self._descendant_switches(child))
-        return names
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def switches(self) -> List[TreeSwitch]:
-        return [node for level in self.levels for node in level]
-
-    @property
-    def depth(self) -> int:
-        """Number of switch levels."""
-        return len(self.levels)
-
-    def leaf_of(self, host: ComputeNode) -> TreeSwitch:
-        """The leaf switch a host hangs off."""
-        for leaf in self.levels[0]:
-            if host in leaf.hosts:
-                return leaf
-        raise ValueError(f"{host.name} not in this tree")
-
-    # ------------------------------------------------------------------
-    # Consistency audit
-    # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Audit port accounting, routing tables, and fan-in.
-
-        Partially filled last leaves (``num_hosts`` not a multiple of
-        ``hosts_per_leaf``) are legal; what this guards against is any
-        shape where the wiring and the routing tables disagree — every
-        such inconsistency raises :class:`TopologyError` up front
-        instead of mis-routing packets mid-simulation.
-        """
-        problems: List[str] = []
-        # Host partitioning: every host on exactly one leaf, routed there.
-        seen = {}
-        for leaf in self.levels[0]:
-            if leaf.children:
-                problems.append(f"{leaf.name}: leaf has switch children")
-            for host in leaf.hosts:
-                if host.name in seen:
-                    problems.append(
-                        f"{host.name} attached to both {seen[host.name]} "
-                        f"and {leaf.name}")
-                seen[host.name] = leaf.name
-                if not leaf.switch.routing.has_route(host.name):
-                    problems.append(
-                        f"{leaf.name}: no explicit route to its own host "
-                        f"{host.name}")
-        if len(seen) != self.num_hosts:
-            problems.append(
-                f"{len(seen)} hosts wired, expected {self.num_hosts}")
-        # Fan-in and port accounting per switch.
-        for level_index, level in enumerate(self.levels):
-            for node in level:
-                expected_fan = (len(node.hosts) if level_index == 0
-                                else len(node.children))
-                if node.fan_in != expected_fan:
-                    problems.append(
-                        f"{node.name}: fan_in {node.fan_in} != "
-                        f"{expected_fan} attached streams")
-                downlinks = len(node.hosts) + len(node.children)
-                uplinks = 1 if node.parent is not None else 0
-                connected = len(node.switch.connected_ports())
-                if connected != downlinks + uplinks:
-                    problems.append(
-                        f"{node.name}: {connected} connected ports, "
-                        f"expected {downlinks} down + {uplinks} up")
-                if node.parent is None and \
-                        node.switch.routing.default_port is not None:
-                    problems.append(
-                        f"{node.name}: root must not have a default "
-                        f"(uplink) port")
-        # Subtree bookkeeping matches the actual host set.
-        if sorted(self.root.subtree_hosts) != sorted(seen):
-            problems.append("root subtree_hosts disagrees with wired hosts")
-        # Routing soundness (walks every table hop by hop).
-        from .validation import validate_fabric
-        for issue in validate_fabric([n.switch for n in self.switches],
-                                     [h.hca for h in self.hosts]):
-            problems.append(str(issue))
-        if problems:
-            raise TopologyError(
-                f"inconsistent switch tree ({self.num_hosts} hosts, "
-                f"{self.hosts_per_leaf}/leaf, radix {self.radix}):\n  "
-                + "\n  ".join(problems))
+    def __init__(self, env: Environment, num_hosts: int,
+                 hosts_per_leaf: int = 8, switch_ports: int = 16,
+                 cluster_config: Optional[ClusterConfig] = None,
+                 hca_config: Optional[HcaConfig] = None,
+                 radix: Optional[int] = None, injector=None):
+        spec = TopologySpec(kind="tree", num_hosts=num_hosts,
+                            hosts_per_leaf=hosts_per_leaf,
+                            switch_ports=switch_ports, radix=radix)
+        super().__init__(env, spec, cluster_config=cluster_config,
+                         hca_config=hca_config, injector=injector)

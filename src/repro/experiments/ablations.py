@@ -32,6 +32,7 @@ from ..apps.reduction import (
     run_active_reduction,
 )
 from ..apps.select import SelectApp
+from ..cluster.config import ClusterConfig
 from ..cluster.iostream import ReadStream
 from ..cluster.system import System
 from ..cluster.topology import SwitchTree
@@ -73,8 +74,9 @@ def ablate_buffer_count(num_hosts: int = 8,
         env = Environment()
         tree = SwitchTree(
             env, num_hosts=num_hosts, hosts_per_leaf=8, switch_ports=16,
-            hca_config=REDUCTION_HCA,
-            active_config=ActiveSwitchConfig(num_buffers=count))
+            cluster_config=ClusterConfig(
+                active_switch=ActiveSwitchConfig(num_buffers=count)),
+            hca_config=REDUCTION_HCA)
         vectors = _make_vectors(num_hosts)
         result = run_active_reduction(tree, vectors, REDUCE_TO_ONE)
         rows.append({"buffers": count,

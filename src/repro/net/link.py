@@ -17,7 +17,7 @@ Two granularities are offered:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..metrics.sampling import BusyTracker
 from ..sim.core import Environment
@@ -95,6 +95,27 @@ class LinkStats:
     @property
     def bytes(self) -> int:
         return self.bytes_delivered
+
+
+def link_fault_report(links: Iterable[Link]) -> Dict[str, float]:
+    """Fault counters summed over ``links``, under the keys every
+    reliability report uses.  Retransmits, drops and CRC discards always
+    appear; capped backoffs and abandoned packets (fail-stop signals)
+    only when nonzero, so transient-only reports keep their key set."""
+    stats = [link.stats for link in links]
+    report = {
+        "link_retransmits": float(sum(s.retransmits for s in stats)),
+        "link_packets_dropped": float(sum(s.packets_dropped for s in stats)),
+        "link_packets_corrupted": float(
+            sum(s.packets_corrupted for s in stats)),
+    }
+    capped = sum(s.capped_backoffs for s in stats)
+    abandoned = sum(s.packets_abandoned for s in stats)
+    if capped:
+        report["link_capped_backoffs"] = float(capped)
+    if abandoned:
+        report["link_packets_abandoned"] = float(abandoned)
+    return report
 
 
 class Link:

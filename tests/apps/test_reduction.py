@@ -41,6 +41,9 @@ def test_reduce_to_all_result_correct(active):
 def test_distributed_reduce_completes(active):
     result = run_reduction_point(8, DISTRIBUTED, active=active)
     assert result.latency_ps > 0
+    # The hosts' slices, in host order, tile the oracle vector.
+    oracle = _oracle(_make_vectors(8))
+    assert [word for piece in result.slices for word in piece] == oracle
 
 
 # ----------------------------------------------------------------------
@@ -105,27 +108,32 @@ def test_reduce_to_all_speedup_monotone():
 
 
 def test_reduce_to_all_every_host_gets_oracle_result():
-    from repro.apps.reduction import _build_tree, _make_vectors, _oracle
-    from repro.apps.reduction import run_active_reduction
+    """Drive the placement engine's reduce-to-all delivery by hand: the
+    per-level plan's finalize broadcasts down the tree to every host."""
+    from repro.apps.reduction import _build_tree
+    from repro.cluster.placement import (
+        H_COMBINE,
+        install_plan,
+        plan_placement,
+    )
+    from repro.net.packet import ActiveHeader
+
     vectors = _make_vectors(16)
     tree = _build_tree(16)
-    received = {}
-
     env = tree.env
-    from repro.apps.reduction import _install_handlers, ActiveHeader
-    from repro.apps.reduction import H_REDUCE, VECTOR_BYTES
+    plan = plan_placement(tree, "per_level")
     done = {}
-    _install_handlers(tree, REDUCE_TO_ALL, done)
+    install_plan(tree, plan, VECTOR_BYTES, done, mode=REDUCE_TO_ALL)
+    received = {}
 
     def sender(i):
         host = tree.hosts[i]
-        leaf = tree.leaf_of(host)
-        slot = leaf.hosts.index(host)
+        entry, slot = plan.entry[host.name]
         yield from host.hca.send(
-            leaf.name, VECTOR_BYTES,
-            active=ActiveHeader(handler_id=H_REDUCE,
+            entry, VECTOR_BYTES,
+            active=ActiveHeader(handler_id=H_COMBINE,
                                 address=slot * VECTOR_BYTES),
-            payload=list(vectors[i]))
+            payload=(0, slot, list(vectors[i])))
 
     def receiver(i):
         host = tree.hosts[i]
@@ -136,9 +144,70 @@ def test_reduce_to_all_every_host_gets_oracle_result():
     procs += [env.process(receiver(i)) for i in range(16)]
     env.run(until=env.all_of(procs))
     oracle = _oracle(vectors)
+    assert done["result"] == oracle
     assert len(received) == 16
     for i in range(16):
-        assert list(received[i]) == oracle
+        epoch, vector = received[i]
+        assert epoch == 0
+        assert list(vector) == oracle
+
+
+@pytest.mark.parametrize("p", [3, 6, 8, 16])
+def test_distributed_every_host_gets_its_oracle_slice(p):
+    """Host j receives exactly the j-th slice of the reduced vector,
+    also when p does not divide the 128-word vector (no tail words
+    dropped) — and its message carries exactly the slice's bytes."""
+    from repro.apps.reduction import WORDS, _build_tree, run_active_reduction
+    from repro.cluster.placement import slice_bounds
+
+    vectors = _make_vectors(p)
+    tree = _build_tree(p)
+    result = run_active_reduction(tree, vectors, DISTRIBUTED)
+    oracle = _oracle(vectors)
+    bounds = slice_bounds(WORDS, p)
+    assert bounds[0][0] == 0 and bounds[-1][1] == WORDS
+    assert all(hi == next_lo for (_, hi), (next_lo, _)
+               in zip(bounds, bounds[1:]))
+    assert len(result.slices) == p
+    for j, (lo, hi) in enumerate(bounds):
+        assert result.slices[j] == oracle[lo:hi], f"host {j}"
+        assert tree.hosts[j].hca.traffic.bytes_in == (hi - lo) * 4
+    assert result.result_vector == oracle
+
+
+@pytest.mark.parametrize("mode", [DISTRIBUTED, REDUCE_TO_ALL])
+def test_every_delivery_mode_survives_a_retry(mode):
+    """The root dies mid-collective and comes back: the timed-out
+    attempt is retried under a new epoch, and every destination host
+    still ends up with its oracle data (stale deliveries dropped)."""
+    from repro.apps.reduction import REDUCTION_HCA
+    from repro.cluster.placement import plan_placement, run_placed_reduction
+    from repro.cluster.topology import SwitchTree
+    from repro.faults import (
+        FailStopEvent,
+        FailStopFaults,
+        FaultInjector,
+        FaultPlan,
+    )
+    from repro.sim import Environment
+    from repro.sim.units import us
+
+    plan = FaultPlan(failstop=FailStopFaults(
+        events=(FailStopEvent(kind="switch_down", target="sw-l1-2",
+                              at_ps=us(5), revive_at_ps=us(50)),),
+        collective_timeout_ps=us(200)))
+    tree = SwitchTree(Environment(), num_hosts=16, hca_config=REDUCTION_HCA,
+                      injector=FaultInjector(plan, seed=1))
+    assert tree.root.name == "sw-l1-2"
+    vectors = _make_vectors(16)
+    done = run_placed_reduction(tree, plan_placement(tree, "per_level"),
+                                vectors, mode=mode)
+    oracle = _oracle(vectors)
+    assert done["attempts"] == 2
+    assert done["result"] == oracle
+    assert len(done["delivered"]) == 16
+    if mode == REDUCE_TO_ALL:
+        assert all(vector == oracle for vector in done["delivered"])
 
 
 @pytest.mark.parametrize("vector_bytes", [128, 1024, 4096])

@@ -96,21 +96,22 @@ def test_same_leaf_message_stays_local():
 def test_no_shared_mutable_default_configs():
     """Regression: SwitchTree used module-level dataclass instances as
     default arguments; two trees must never share config objects
-    implicitly."""
+    implicitly.  Every constructor default is None or a plain integer,
+    and each tree builds its own ClusterConfig of frozen sub-configs."""
+    import dataclasses
     import inspect
 
-    from repro.cluster.topology import SwitchTree as ST
-
-    signature = inspect.signature(ST.__init__)
-    assert signature.parameters["link_config"].default is None
-    assert signature.parameters["active_config"].default is None
-    a = ST(Environment(), num_hosts=8)
-    b = ST(Environment(), num_hosts=8)
-    assert a.link_config == b.link_config  # same values...
+    signature = inspect.signature(SwitchTree.__init__)
+    for parameter in signature.parameters.values():
+        assert parameter.default is inspect.Parameter.empty or \
+            isinstance(parameter.default, (type(None), int)), parameter
+    a = SwitchTree(Environment(), num_hosts=8)
+    b = SwitchTree(Environment(), num_hosts=8)
+    assert a.cluster_config is not b.cluster_config
+    assert a.cluster_config.link == b.cluster_config.link  # same values...
     # ...and either not the same object, or frozen (immutable) configs.
-    import dataclasses
-    assert dataclasses.is_dataclass(a.link_config)
-    assert a.link_config.__dataclass_params__.frozen
+    assert dataclasses.is_dataclass(a.cluster_config.link)
+    assert a.cluster_config.link.__dataclass_params__.frozen
 
 
 @pytest.mark.parametrize("num_hosts", [1, 3, 7, 9, 17, 20, 63, 65, 100, 129])
