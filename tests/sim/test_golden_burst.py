@@ -176,3 +176,40 @@ def test_perblock_flag_controls_path(monkeypatch):
     assert System(app.cluster_config()).burst_ok()
     monkeypatch.setenv("REPRO_SIM_PERBLOCK", "1")
     assert not System(app.cluster_config()).burst_ok()
+
+
+def _both_paths(run, monkeypatch):
+    """``run()`` once on the burst path and once per block."""
+    monkeypatch.delenv("REPRO_SIM_PERBLOCK", raising=False)
+    burst = run()
+    monkeypatch.setenv("REPRO_SIM_PERBLOCK", "1")
+    return burst, run()
+
+
+def test_filter_placement_rows_are_bit_identical(monkeypatch):
+    """Experiment-driven streams: the switch placement hands each
+    block's arrival to ``process_on_switch``, the two-level placement
+    runs the handler with no stream at all."""
+    from repro.experiments.two_level import compare_filter_placement
+
+    burst, perblock = _both_paths(
+        lambda: compare_filter_placement(scale=1 / 256), monkeypatch)
+    assert burst == perblock
+
+
+def test_shared_switch_cpu_ablation_is_bit_identical(monkeypatch):
+    """Two storage streams contend for one switch CPU."""
+    from repro.experiments.ablations import ablate_filter_placement
+
+    burst, perblock = _both_paths(
+        lambda: ablate_filter_placement(scale=1 / 256), monkeypatch)
+    assert burst == perblock
+
+
+def test_store_and_forward_ablation_is_bit_identical(monkeypatch):
+    """Without cut-through a handler first waits for its whole block."""
+    from repro.experiments.ablations import ablate_cut_through
+
+    burst, perblock = _both_paths(
+        lambda: ablate_cut_through(scale=1 / 16), monkeypatch)
+    assert burst == perblock
