@@ -1,14 +1,18 @@
 """Fault injection: run a reduction over a lossy fabric and survive.
 
 Builds the paper's switch-tree reduction twice — once on a perfect
-fabric, once with every link dropping 10% and corrupting 5% of packets
-plus a scripted handler crash on the root switch — and shows that:
+fabric, once with every link dropping 10% and corrupting 5% of packet
+copies — and shows that:
 
 * the numeric result matches the fault-free oracle bit for bit (the
-  CRC + NACK/retransmission protocol and the crash containment hide
-  every fault);
-* recovery costs latency, which the reliability report itemizes;
+  CRC + NACK/retransmission protocol hides every fault);
+* the faults injected and recovered are itemized per kind;
 * the same seed reproduces the same fault schedule exactly.
+
+A fault costs latency only when it lands on the reduction's critical
+path.  At the default seed 11 the single injected corruption does not,
+so both fabrics report the same latency; at seed 1 recovery adds about
+5 us.
 
 Run:  python examples/fault_injection.py [seed]
 """

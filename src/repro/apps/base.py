@@ -148,9 +148,7 @@ class StreamApp:
                 cpu_peek = system.switch_cpu_peek()
                 stall = _stall(work.handler_stall_fn, cpu_peek.hierarchy)
                 yield from system.process_on_switch(
-                    work.handler_cycles, stall,
-                    arrival_end_event=arrival.end_event,
-                    arrival_end_ps=arrival.end_ps)
+                    work.handler_cycles, stall, arrival=arrival)
                 if work.out_bytes > 0:
                     yield from system.switch_to_host_bulk(host, work.out_bytes)
                 yield ready_for_host.put(work)

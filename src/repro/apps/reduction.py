@@ -99,10 +99,19 @@ def _mst_rounds(num_hosts: int) -> int:
 
 def run_normal_reduction(tree: SwitchTree, vectors: List[List[int]],
                          mode: str) -> ReductionResult:
-    """Binomial reduce (plus scatter/broadcast for the other modes)."""
+    """Binomial reduce (plus scatter/broadcast for the other modes).
+
+    The distributed baseline is recursive halving, which pairs hosts
+    by XOR and so needs a power-of-two host count; any other count
+    raises ``ValueError``.
+    """
     env = tree.env
     hosts = tree.hosts
     p = len(hosts)
+    if mode == DISTRIBUTED and p & (p - 1):
+        raise ValueError(
+            f"the normal distributed reduction (recursive halving) needs "
+            f"a power-of-two host count, got {p}")
     rounds = _mst_rounds(p)
     local = [list(v) for v in vectors]
     words = len(vectors[0])
@@ -169,7 +178,7 @@ def run_normal_reduction(tree: SwitchTree, vectors: List[List[int]],
         kept[i] = local[i][lo:hi]
 
     def host_proc(i: int):
-        if mode == DISTRIBUTED and p & (p - 1) == 0 and p > 1:
+        if mode == DISTRIBUTED and p > 1:
             yield from host_proc_reduce_scatter(i)
         else:
             yield from host_proc_reduce_to_one(

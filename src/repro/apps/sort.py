@@ -150,9 +150,7 @@ class SortApp:
             arrival = yield from stream.next_block()
             nrecords = sum(counts)
             yield from system.process_on_switch(
-                nrecords * SWITCH_ROUTE_CYCLES_PER_RECORD, 0,
-                arrival_end_event=arrival.end_event,
-                arrival_end_ps=arrival.end_ps)
+                nrecords * SWITCH_ROUTE_CYCLES_PER_RECORD, 0, arrival=arrival)
             for dst, count in enumerate(counts):
                 if count == 0:
                     continue

@@ -199,9 +199,7 @@ class TarApp:
             for _ in range(stream.num_blocks):
                 arrival = yield from stream.next_block()
                 yield from system.process_on_switch(
-                    SWITCH_REDIRECT_CYCLES_PER_BLOCK, 0,
-                    arrival_end_event=arrival.end_event,
-                    arrival_end_ps=arrival.end_ps)
+                    SWITCH_REDIRECT_CYCLES_PER_BLOCK, 0, arrival=arrival)
                 yield from system.switch_to_remote_bulk(remote.name,
                                                         arrival.nbytes)
                 remote.hca.account_bulk_in(arrival.nbytes)

@@ -3,7 +3,7 @@ multi-stage fabrics, and handler placement."""
 
 from .config import CASE_ORDER, ClusterConfig, case_configs
 from .fabric import FabricPartitioned, FtStats, TopologySpec, build_fabric
-from .iostream import BlockArrival, ReadStream, WriteStream
+from .iostream import BlockArrival, ReadStream
 from .node import ComputeNode, StorageNode
 from .placement import (PLACEMENT_POLICIES, CollectiveTimeout, PlacementPlan,
                         plan_placement, repair_plan)
@@ -17,7 +17,6 @@ __all__ = [
     "case_configs",
     "BlockArrival",
     "ReadStream",
-    "WriteStream",
     "ComputeNode",
     "StorageNode",
     "PRESETS",

@@ -84,15 +84,6 @@ class StorageNode:
         yield from self.disks.read(offset, nbytes, started=started)
         self.tca.traffic.bytes_out += nbytes
 
-    def serve_write(self, offset: int, nbytes: int):
-        """Accept ``nbytes`` from the SAN and commit them to disk."""
-        yield from self.tca.process_request()
-        yield self.env.timeout(self.scsi.config.transaction_overhead_ps)
-        self.scsi.stats.transactions += 1
-        self.scsi.stats.bytes += nbytes
-        yield from self.disks.write(offset, nbytes)
-        self.tca.traffic.bytes_in += nbytes
-
     # ------------------------------------------------------------------
     # Burst fast path (see repro.sim.burst)
     # ------------------------------------------------------------------
@@ -114,17 +105,6 @@ class StorageNode:
         started, done = self.disks.read_burst(t, offset, nbytes)
         self.tca.traffic.bytes_out += nbytes
         return started, done
-
-    def serve_write_burst(self, at_ps: int, offset: int, nbytes: int):
-        """Analytic mirror of :meth:`serve_write`; returns ``done_ps``."""
-        t = at_ps + self.tca.tca_config.request_processing_ps
-        self.tca.requests_processed += 1
-        t += self.scsi.config.transaction_overhead_ps
-        self.scsi.stats.transactions += 1
-        self.scsi.stats.bytes += nbytes
-        _, done = self.disks.write_burst(t, offset, nbytes)
-        self.tca.traffic.bytes_in += nbytes
-        return done
 
     def __repr__(self) -> str:
         return f"<StorageNode {self.name}>"

@@ -96,7 +96,7 @@ def chaos_2003(seed: int = 0, **overrides) -> ClusterConfig:
         seed=seed,
         faults=FaultPlan(
             link=LinkFaults(drop_rate=0.01, bit_error_rate=0.005),
-            disk=DiskFaults(read_error_rate=0.02, write_error_rate=0.01),
+            disk=DiskFaults(read_error_rate=0.02),
             scsi=ScsiFaults(error_rate=0.005),
             handler=HandlerFaults(crash_rate=0.002),
         ),

@@ -18,10 +18,9 @@ Two datapaths coexist:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import heapq
-from collections import deque
 
 from ..net.link import Link, link_fault_report
 from ..net.packet import HEADER_BYTES, MTU
@@ -36,9 +35,21 @@ from .config import ClusterConfig
 from .node import ComputeNode, StorageNode
 from .template import SystemTemplate, build_system_template
 
+if TYPE_CHECKING:
+    from .iostream import BlockArrival
+
 
 class System:
-    """One switch-centred SAN cluster."""
+    """One switch-centred SAN cluster.
+
+    Block-level handler work (:meth:`process_on_switch`) runs on one of
+    two switch-CPU models.  The per-block reference path holds a CPU
+    from the ``switch_cpu_pool`` Store and waits on real events; the
+    burst path keeps the same CPUs in the ``_cpu_ready`` heap of free
+    times and prices each dispatch analytically
+    (:meth:`process_on_switch_at`).  ``tests/sim/test_golden_burst.py``
+    holds the two bit-identical.
+    """
 
     def __init__(self, config: ClusterConfig,
                  env: Optional[Environment] = None,
@@ -90,13 +101,10 @@ class System:
         #: Block-level pool of embedded CPUs (active systems only).
         self.switch_cpu_pool: Optional[Store] = None
         #: Burst-path stand-in for the pool: ``(free_at_ps, seq, cpu)``
-        #: min-heap, popped/pushed by :meth:`process_on_switch`.  The
-        #: heap only goes empty while an event-waiting caller holds a
-        #: CPU across a real yield; ``_cpu_waiters`` queues arrivals in
-        #: FIFO order for that window, mirroring the Store's get queue.
+        #: min-heap, popped and pushed back in one call by
+        #: :meth:`process_on_switch_at`, so it never goes empty.
         self._cpu_ready = None
         self._cpu_seq = 0
-        self._cpu_waiters = deque()
         if config.active:
             self.switch_cpu_pool = Store(self.env)
             for cpu in self.switch.cpus:
@@ -445,69 +453,6 @@ class System:
         return (self.switch_cpu_pool.items[0]
                 if self.switch_cpu_pool.items else self.switch.cpus[0])
 
-    def _cpu_pop(self):
-        """Claim the earliest-free pool entry, queueing FIFO while an
-        event-waiting caller has the heap drained."""
-        while not self._cpu_ready:
-            waiter = self.env.event()
-            self._cpu_waiters.append(waiter)
-            yield waiter
-        return heapq.heappop(self._cpu_ready)
-
-    def _cpu_push(self, free_at_ps: int, cpu) -> None:
-        self._cpu_seq += 1
-        heapq.heappush(self._cpu_ready, (free_at_ps, self._cpu_seq, cpu))
-        if self._cpu_waiters:
-            self._cpu_waiters.popleft().succeed()
-
-    def _process_on_switch_burst(self, cycles: float, stall_ps: int,
-                                 arrival_end_event, arrival_end_ps):
-        """Burst-pool handler execution: pop the earliest-free CPU,
-        replay the grant/pre-wait/work/post-wait arithmetic, push it
-        back with its new free time.
-
-        Popping at call time is the Store's FIFO: waiters are assigned
-        CPUs in arrival order, earliest-freed first.  When the arrival
-        completion time is known (``arrival_end_ps``) the whole body is
-        analytic — one timeout.  A caller that only has the completion
-        *event* still shares the same pool state; it walks to the grant
-        time and waits the event for real.
-        """
-        ready_ps, _, cpu = yield from self._cpu_pop()
-        now = self.env.now
-        acct = cpu.accounting
-        if arrival_end_ps is None and arrival_end_event is not None:
-            if ready_ps > now:
-                yield self.env.timeout(ready_ps - now)
-            if not self.config.cut_through \
-                    and not arrival_end_event.processed:
-                wait_start = self.env.now
-                yield arrival_end_event
-                acct.add_stall(self.env.now - wait_start)
-            yield from cpu.work(busy_cycles=cycles, stall_ps=stall_ps)
-            if not arrival_end_event.processed:
-                wait_start = self.env.now
-                yield arrival_end_event
-                acct.add_stall(self.env.now - wait_start)
-            self._cpu_push(self.env.now, cpu)
-            return cpu
-        t = now if now > ready_ps else ready_ps
-        if not self.config.cut_through and arrival_end_ps is not None \
-                and arrival_end_ps > t:
-            acct.add_stall(arrival_end_ps - t)
-            t = arrival_end_ps
-        work_ps = cpu.clock.cycles(cycles)
-        acct.add_busy(work_ps)
-        acct.add_stall(stall_ps)
-        t += work_ps + stall_ps
-        if arrival_end_ps is not None and arrival_end_ps > t:
-            acct.add_stall(arrival_end_ps - t)
-            t = arrival_end_ps
-        self._cpu_push(t, cpu)
-        if t > now:
-            yield self.env.timeout(t - now)
-        return cpu
-
     def switch_cpu_peek_at(self, now_ps: int):
         """Burst-pool :meth:`switch_cpu_peek` at an explicit instant.
 
@@ -516,32 +461,39 @@ class System:
         passing that time keeps the peek identical to what the staged
         path would see when it got there.
         """
-        if not self._cpu_ready:
-            return self.switch.cpus[0]
         ready_ps, _, cpu = self._cpu_ready[0]
         return cpu if ready_ps <= now_ps else self.switch.cpus[0]
 
     def process_on_switch_at(self, ready_ps: int, cycles: float,
-                             stall_ps: int) -> int:
-        """Analytic handler dispatch at an explicit ready time.
+                             stall_ps: int, end_ps: Optional[int] = None):
+        """Analytic handler dispatch: the burst path's switch-CPU model.
 
-        The zero-yield twin of the burst branch of
-        :meth:`process_on_switch` for callers (the service worker) that
-        know when the block is ready before the clock gets there.
-        Callers must issue in nondecreasing ``ready_ps`` order — the
-        service pipeline's post/storage stages are FIFO, so dispatch
-        order is completion order and the pool grants exactly as the
-        staged path would.  Returns the completion time.
+        Pops the earliest-free CPU off the ``_cpu_ready`` heap, runs the
+        handler from ``max(ready_ps, cpu free)`` — after waiting for
+        the block's last byte ``end_ps`` first under store-and-forward,
+        and for it afterwards under cut-through — and pushes the CPU
+        back with its new free time.  Callers must issue in
+        nondecreasing ``ready_ps`` order, which makes the heap grant
+        exactly as the per-block path's FIFO Store does.  Returns
+        ``(done_ps, cpu)``.
         """
         free_ps, _, cpu = heapq.heappop(self._cpu_ready)
         t = ready_ps if ready_ps > free_ps else free_ps
         acct = cpu.accounting
+        if not self.config.cut_through and end_ps is not None \
+                and end_ps > t:
+            acct.add_stall(end_ps - t)
+            t = end_ps
         work_ps = cpu.clock.cycles(cycles)
         acct.add_busy(work_ps)
         acct.add_stall(stall_ps)
         t += work_ps + stall_ps
-        self._cpu_push(t, cpu)
-        return t
+        if end_ps is not None and end_ps > t:
+            acct.add_stall(end_ps - t)
+            t = end_ps
+        self._cpu_seq += 1
+        heapq.heappush(self._cpu_ready, (t, self._cpu_seq, cpu))
+        return t, cpu
 
     def switch_to_host_bulk_at(self, host: ComputeNode, nbytes: int,
                                ready_ps: int) -> int:
@@ -561,38 +513,45 @@ class System:
         return end
 
     def process_on_switch(self, cycles: float, stall_ps: int,
-                          arrival_end_event=None, arrival_end_ps=None):
+                          arrival: Optional[BlockArrival] = None):
         """Run one block's worth of handler work on a free switch CPU.
 
-        The handler computes while the block streams in (valid-bit
-        overlap): completion is ``max(compute done, arrival done)``.
-        Waiting for data beyond the compute time is charged as switch
-        CPU stall (stalled on invalid buffer lines).
+        The handler computes while ``arrival``'s block streams in
+        (valid-bit overlap): completion is ``max(compute done, arrival
+        done)``.  Waiting for data beyond the compute time is charged
+        as switch CPU stall (stalled on invalid buffer lines).  Without
+        an ``arrival`` the handler works on data already in the switch.
 
-        ``arrival_end_ps`` is the burst-path twin of
-        ``arrival_end_event`` — the arrival completion time, known
-        analytically up front.  Pass both when available; callers that
-        only have the event still work on either path.
+        The burst path prices the whole body with
+        :meth:`process_on_switch_at` from the arrival's ``end_ps`` and
+        sleeps once; the per-block reference path holds a CPU from the
+        Store and waits on the arrival's ``end_event``.  Returns the
+        CPU that ran the handler.
         """
         if self.switch_cpu_pool is None:
             raise RuntimeError("process_on_switch requires an active system")
         if self.burst_ok():
-            cpu = yield from self._process_on_switch_burst(
-                cycles, stall_ps, arrival_end_event, arrival_end_ps)
+            now = self.env.now
+            done_ps, cpu = self.process_on_switch_at(
+                now, cycles, stall_ps,
+                None if arrival is None else arrival.end_ps)
+            if done_ps > now:
+                yield self.env.timeout(done_ps - now)
             return cpu
+        end_event = None if arrival is None else arrival.end_event
         cpu = yield self.switch_cpu_pool.get()
         try:
-            if not self.config.cut_through and arrival_end_event is not None \
-                    and not arrival_end_event.processed:
+            if not self.config.cut_through and end_event is not None \
+                    and not end_event.processed:
                 # Store-and-forward ablation: no valid-bit overlap — the
                 # handler may not start until the whole block is in.
                 wait_start = self.env.now
-                yield arrival_end_event
+                yield end_event
                 cpu.accounting.add_stall(self.env.now - wait_start)
             yield from cpu.work(busy_cycles=cycles, stall_ps=stall_ps)
-            if arrival_end_event is not None and not arrival_end_event.processed:
+            if end_event is not None and not end_event.processed:
                 wait_start = self.env.now
-                yield arrival_end_event
+                yield end_event
                 cpu.accounting.add_stall(self.env.now - wait_start)
         finally:
             yield self.switch_cpu_pool.put(cpu)

@@ -219,9 +219,7 @@ def ablate_filter_placement(scale: float = 1 / 64,
         for work in app.blocks:
             arrival = yield from stream.next_block()
             yield from system.process_on_switch(
-                work.handler_cycles, 0,
-                arrival_end_event=arrival.end_event,
-                arrival_end_ps=arrival.end_ps)
+                work.handler_cycles, 0, arrival=arrival)
             yield from system.switch_to_host_bulk(system.host,
                                                   work.out_bytes)
             yield from stream.done_with(arrival)

@@ -106,7 +106,7 @@ def _scan(system, total_bytes: int, request_bytes: int,
             if to_switch:
                 yield from system.process_on_switch(
                     cycles=per_block_records * SWITCH_FILTER_CYCLES,
-                    stall_ps=0, arrival_end_event=arrival.end_event)
+                    stall_ps=0, arrival=arrival)
                 yield from system.switch_to_host_bulk(
                     host, int(arrival.nbytes * PASS_FRACTION))
             else:

@@ -115,7 +115,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Storage faults
     # ------------------------------------------------------------------
-    def disk_error(self, disk_name: str, write: bool) -> bool:
+    def disk_error(self, disk_name: str) -> bool:
         """Whether this disk request attempt hits a transient media error."""
         cfg = self.plan.disk
         component = f"disk/{disk_name}"
@@ -123,8 +123,7 @@ class FaultInjector:
         if index in cfg.error_requests:
             errored = True
         else:
-            rate = cfg.write_error_rate if write else cfg.read_error_rate
-            errored = self._stream(component).random() < rate
+            errored = self._stream(component).random() < cfg.read_error_rate
         if errored:
             self.injected["disk_errors"] += 1
         self._record(component, index, "error" if errored else "ok")

@@ -91,7 +91,6 @@ class DiskFaults:
     """
 
     read_error_rate: float = 0.0
-    write_error_rate: float = 0.0
     #: Firmware recovery delay before retry ``k`` (scaled by ``2**k``).
     retry_backoff_ps: int = us(500)
     max_retries: int = 4
@@ -100,7 +99,6 @@ class DiskFaults:
 
     def __post_init__(self):
         _check_rate("read_error_rate", self.read_error_rate)
-        _check_rate("write_error_rate", self.write_error_rate)
         if self.retry_backoff_ps <= 0:
             raise ValueError("retry_backoff_ps must be positive")
         if self.max_retries < 0:
@@ -108,8 +106,7 @@ class DiskFaults:
 
     @property
     def enabled(self) -> bool:
-        return (self.read_error_rate > 0 or self.write_error_rate > 0
-                or bool(self.error_requests))
+        return self.read_error_rate > 0 or bool(self.error_requests)
 
 
 @dataclass(frozen=True)

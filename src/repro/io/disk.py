@@ -120,8 +120,13 @@ class Disk:
         self._settle()
         self._head_position = offset
 
-    def _access(self, offset: int, nbytes: int, write: bool, started):
-        """Shared read/write mechanics with bounded transient-error retries.
+    def read(self, offset: int, nbytes: int, started=None):
+        """Read ``nbytes`` at ``offset``; generator completes when the
+        last byte leaves the platter.
+
+        ``started``, if given, is an event triggered once the head is in
+        position and data begins to flow — the moment a cut-through
+        stream's first bytes leave for the fabric.
 
         Without an attached fault plan the control flow (and therefore
         the timing) is exactly the pre-reliability position-then-stream
@@ -132,6 +137,8 @@ class Disk:
         positioning again — and replays the request, up to
         ``max_retries`` times before raising :class:`DiskError`.
         """
+        if nbytes <= 0:
+            raise ValueError(f"read size must be positive, got {nbytes}")
         self._settle()
         with self.arm.request() as grant:
             yield grant
@@ -154,23 +161,18 @@ class Disk:
                                            self.config.bandwidth_bytes_per_s)
                     faulted = (self._injector is not None
                                and self._injector.plan.disk.enabled
-                               and self._injector.disk_error(self.name, write))
+                               and self._injector.disk_error(self.name))
                     if not faulted:
                         self.stats.transfer_ps_total += transfer
-                        if write:
-                            self.stats.bytes_written += nbytes
-                        else:
-                            self.stats.bytes_read += nbytes
+                        self.stats.bytes_read += nbytes
                         yield self.env.timeout(transfer)
                         self._head_position = offset + nbytes
                         trace = self.env.trace
                         if trace is not None:
-                            trace.span(
-                                self.name,
-                                "disk.write" if write else "disk.read",
-                                start_ps, self.env.now - start_ps,
-                                offset=offset, bytes=nbytes,
-                                retries=attempt)
+                            trace.span(self.name, "disk.read", start_ps,
+                                       self.env.now - start_ps,
+                                       offset=offset, bytes=nbytes,
+                                       retries=attempt)
                         return
                     self.stats.transient_errors += 1
                     yield self.env.timeout(transfer // 2)
@@ -178,9 +180,8 @@ class Disk:
                     faults = self._injector.plan.disk
                     if attempt >= faults.max_retries:
                         raise DiskError(
-                            f"{self.name}: {'write' if write else 'read'} of "
-                            f"{nbytes} B at {offset} failed after "
-                            f"{faults.max_retries} retries")
+                            f"{self.name}: read of {nbytes} B at {offset} "
+                            f"failed after {faults.max_retries} retries")
                     self.stats.retries += 1
                     yield self.env.timeout(
                         faults.retry_backoff_ps * (2 ** attempt))
@@ -188,9 +189,8 @@ class Disk:
             finally:
                 self.busy.exit()
 
-    def access_burst(self, at_ps: int, offset: int, nbytes: int,
-                     write: bool):
-        """Analytic mirror of :meth:`_access` for the fault-free burst
+    def access_burst(self, at_ps: int, offset: int, nbytes: int):
+        """Analytic mirror of :meth:`read` for the fault-free burst
         path: same arm FIFO, positioning rule, stats, and busy signal,
         with zero kernel events.
 
@@ -204,9 +204,9 @@ class Disk:
         errors need the event-driven retry loop.
         """
         self._settle()
-        return self._burst(at_ps, offset, nbytes, write)
+        return self._burst(at_ps, offset, nbytes)
 
-    def _burst(self, at_ps: int, offset: int, nbytes: int, write: bool):
+    def _burst(self, at_ps: int, offset: int, nbytes: int):
         stats = self._stats
         start = at_ps if at_ps > self._arm_free_ps else self._arm_free_ps
         stats.requests += 1
@@ -219,34 +219,12 @@ class Disk:
             data_start = start + positioning
         transfer = transfer_ps(nbytes, self.config.bandwidth_bytes_per_s)
         stats.transfer_ps_total += transfer
-        if write:
-            stats.bytes_written += nbytes
-        else:
-            stats.bytes_read += nbytes
+        stats.bytes_read += nbytes
         done = data_start + transfer
         self._head_position = offset + nbytes
         self._busy.credit(done - start)
         self._arm_free_ps = done
         return data_start, done
-
-    def read(self, offset: int, nbytes: int, started=None):
-        """Read ``nbytes`` at ``offset``; generator completes when the
-        last byte leaves the platter.
-
-        ``started``, if given, is an event triggered once the head is in
-        position and data begins to flow — the moment a cut-through
-        stream's first bytes leave for the fabric.
-        """
-        if nbytes <= 0:
-            raise ValueError(f"read size must be positive, got {nbytes}")
-        yield from self._access(offset, nbytes, write=False, started=started)
-
-    def write(self, offset: int, nbytes: int, started=None):
-        """Write ``nbytes`` at ``offset``; same mechanics as read (the
-        paper's disk model is symmetric: position, then stream)."""
-        if nbytes <= 0:
-            raise ValueError(f"write size must be positive, got {nbytes}")
-        yield from self._access(offset, nbytes, write=True, started=started)
 
     def __repr__(self) -> str:
         return f"<Disk {self.name}: {self.stats.bytes_read} B read>"
@@ -322,36 +300,6 @@ class DiskArray:
             remaining -= chunk
         yield self.env.all_of(events)
 
-    def _access_burst(self, at_ps: int, offset: int, nbytes: int,
-                      write: bool):
-        """Shared striped-access math for the burst path.
-
-        An equal stripe over spindles in lockstep gives each the same
-        request: the lead computes it and :meth:`_sync` copies it later.
-        """
-        disks = self.disks
-        count = len(disks)
-        if not nbytes % count and (self._ledger is not None
-                                   or self._open_ledger()):
-            return disks[0]._burst(at_ps, offset // count, nbytes // count,
-                                   write)
-        self._sync()
-        share = -(-nbytes // len(self.disks))
-        remaining = nbytes
-        started = done = None
-        for index, disk in enumerate(self.disks):
-            chunk = min(share, remaining)
-            if chunk <= 0:
-                break
-            data_start, disk_done = disk.access_burst(
-                at_ps, offset // len(self.disks), chunk, write)
-            if index == 0:
-                started = data_start
-            if done is None or disk_done > done:
-                done = disk_done
-            remaining -= chunk
-        return started, done
-
     def _open_ledger(self) -> bool:
         """Start a ledger if every follower is in lockstep with the lead."""
         lead = self.disks[0]
@@ -389,39 +337,33 @@ class DiskArray:
         """Analytic striped read (see :meth:`Disk.access_burst`).
 
         Returns ``(started_ps, done_ps)``: when the first spindle's
-        data begins to flow, and when the last spindle finishes.
+        data begins to flow, and when the last spindle finishes.  An
+        equal stripe over spindles in lockstep gives each the same
+        request: the lead computes it and :meth:`_sync` copies it later.
         """
         if nbytes <= 0:
             raise ValueError(f"read size must be positive, got {nbytes}")
-        return self._access_burst(at_ps, offset, nbytes, write=False)
-
-    def write_burst(self, at_ps: int, offset: int, nbytes: int):
-        """Analytic striped write; returns ``(started_ps, done_ps)``."""
-        if nbytes <= 0:
-            raise ValueError(f"write size must be positive, got {nbytes}")
-        return self._access_burst(at_ps, offset, nbytes, write=True)
-
-    def write(self, offset: int, nbytes: int, started=None):
-        """Striped write; completes when every spindle's share is done."""
-        if nbytes <= 0:
-            raise ValueError(f"write size must be positive, got {nbytes}")
-        share = -(-nbytes // len(self.disks))
-        events = []
+        disks = self.disks
+        count = len(disks)
+        if not nbytes % count and (self._ledger is not None
+                                   or self._open_ledger()):
+            return disks[0]._burst(at_ps, offset // count, nbytes // count)
+        self._sync()
+        share = -(-nbytes // count)
         remaining = nbytes
-        for index, disk in enumerate(self.disks):
+        started = done = None
+        for index, disk in enumerate(disks):
             chunk = min(share, remaining)
             if chunk <= 0:
                 break
-            events.append(self.env.process(
-                disk.write(offset // len(self.disks), chunk,
-                           started=started if index == 0 else None),
-                name=f"{disk.name}-write"))
+            data_start, disk_done = disk.access_burst(
+                at_ps, offset // count, chunk)
+            if index == 0:
+                started = data_start
+            if done is None or disk_done > done:
+                done = disk_done
             remaining -= chunk
-        yield self.env.all_of(events)
-
-    @property
-    def bytes_written(self) -> int:
-        return sum(d.stats.bytes_written for d in self.disks)
+        return started, done
 
     def utilization(self) -> float:
         """Mean spindle busy fraction since simulation start."""

@@ -11,9 +11,10 @@ from .report import (
     reliability_table,
     render_table,
 )
-from .export import benchmark_result_rows, benchmark_result_to_csv, rows_to_csv
 from .results import BenchmarkResult, CaseResult
 from .sampling import BusyTracker, QuantileEstimator, TimeWeighted
+from ..obs.export import (benchmark_result_rows, benchmark_result_to_csv,
+                          rows_to_csv)
 
 __all__ = [
     "BenchmarkResult",

@@ -1,4 +1,10 @@
-"""Trace exporters: Chrome ``trace_event`` JSON, CSV, and a validating loader.
+"""Exporters: Chrome ``trace_event`` JSON, CSV, and a validating loader.
+
+Traces go to Chrome JSON or CSV; results go to CSV too —
+``benchmark_result_rows`` flattens a four-configuration
+:class:`~repro.metrics.BenchmarkResult`, and ``rows_to_csv`` writes
+any list of same-keyed dicts (the sweep rows the reduction and
+ablation experiments return).  Every CSV goes through one writer.
 
 The Chrome export targets the JSON *object* format (``{"traceEvents":
 [...]}``) understood by Perfetto (https://ui.perfetto.dev) and
@@ -28,7 +34,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any, Dict, List, Mapping, Tuple, Union
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 from .trace import (
     PHASE_COUNTER,
@@ -38,6 +45,9 @@ from .trace import (
     TraceCollector,
     TraceEvent,
 )
+
+if TYPE_CHECKING:
+    from ..metrics.results import BenchmarkResult
 
 _PS_PER_US = 1_000_000
 
@@ -217,6 +227,21 @@ def load_chrome_trace(path: str) -> Dict[str, TraceCollector]:
     return out
 
 
+def _csv(header: Sequence, rows: Iterable[Sequence],
+         path: Optional[str] = None) -> str:
+    """Render ``header`` and ``rows`` as CSV text, also written to
+    ``path`` when one is given."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    text = buf.getvalue()
+    if path is not None:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    return text
+
+
 _CSV_FIELDS = ("phase", "component", "name", "ts_ps", "dur_ps", "args")
 
 
@@ -226,21 +251,54 @@ def trace_csv(traces: TraceInput) -> str:
     Columns: ``case, phase, component, name, ts_ps, dur_ps, args`` with
     ``args`` as a compact JSON object.  Rows are in emit order per case.
     """
-    mapping = _as_mapping(traces)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(("case",) + _CSV_FIELDS)
-    for label, collector in mapping.items():
-        for event in collector:
-            writer.writerow((
-                label, event.phase, event.component, event.name,
-                event.ts_ps, event.dur_ps,
-                json.dumps(dict(event.args), sort_keys=True),
-            ))
-    return buf.getvalue()
+    return _csv(("case",) + _CSV_FIELDS, (
+        (label, event.phase, event.component, event.name,
+         event.ts_ps, event.dur_ps,
+         json.dumps(dict(event.args), sort_keys=True))
+        for label, collector in _as_mapping(traces).items()
+        for event in collector))
 
 
 def write_trace_csv(path: str, traces: TraceInput) -> None:
     """Write :func:`trace_csv` output to ``path``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(trace_csv(traces))
+
+
+def benchmark_result_rows(result: BenchmarkResult):
+    """Flatten a BenchmarkResult into one dict per configuration."""
+    for label, case in result.cases.items():
+        switch = case.switch_cpus[0] if case.switch_cpus else None
+        yield {
+            "benchmark": result.name,
+            "case": label,
+            "exec_ps": case.exec_ps,
+            "normalized_time": result.normalized_time(label),
+            "host_utilization": result.utilization(label),
+            "normalized_traffic": result.normalized_traffic(label),
+            "host_busy_frac": case.host.busy_frac,
+            "host_stall_frac": case.host.stall_frac,
+            "host_idle_frac": case.host.idle_frac,
+            "host_bytes_in": case.host_bytes_in,
+            "host_bytes_out": case.host_bytes_out,
+            "switch_busy_frac": switch.busy_frac if switch else "",
+            "switch_stall_frac": switch.stall_frac if switch else "",
+        }
+
+
+def benchmark_result_to_csv(result: BenchmarkResult,
+                            path: Optional[str] = None) -> str:
+    """Write (or return) the result as CSV."""
+    return rows_to_csv(benchmark_result_rows(result), path)
+
+
+def rows_to_csv(rows: Iterable[Mapping], path: Optional[str] = None) -> str:
+    """Write (or return) sweep-style rows (list of dicts) as CSV."""
+    rows = list(rows)
+    if not rows:
+        raise ValueError("no rows to export")
+    fieldnames = list(rows[0])
+    for row in rows:
+        if list(row) != fieldnames:
+            raise ValueError("rows have inconsistent columns")
+    return _csv(fieldnames, (row.values() for row in rows), path)

@@ -20,6 +20,15 @@ Two guarantees, enforced by ``tests/sim/test_golden_burst.py``:
   the real event cascade (retries, per-span timing), so
   :meth:`repro.cluster.System.burst_ok` disables the fast path whenever
   an injector or trace collector is attached.
+
+The two paths share one ``ReadStream`` producer loop (they differ only
+in how a block's storage read is issued and how its ``end_event``
+fires) and keep one switch-CPU model each: the per-block path's FIFO
+``Store`` of CPUs, and the burst path's heap of CPU free times
+(``System.process_on_switch_at``).  Handlers are handed the stream's
+``BlockArrival`` (``process_on_switch(..., arrival=block)``), whose
+``end_event`` and ``end_ps`` serve the two models.  Streams only read;
+there is no write datapath.
 """
 
 from __future__ import annotations

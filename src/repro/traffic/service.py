@@ -423,7 +423,7 @@ def _simulate(spec: ServiceSpec, trace=None, prebuilt=None) -> ServiceResult:
                 if burst:
                     peek = system.switch_cpu_peek_at(read_done)
                     stall = _stall(work.handler_stall_fn, peek.hierarchy)
-                    handler_done = system.process_on_switch_at(
+                    handler_done, _ = system.process_on_switch_at(
                         read_done, work.handler_cycles, stall)
                     if handler_done > env.now:
                         yield env.timeout(handler_done - env.now)

@@ -224,3 +224,13 @@ def test_vector_size_sweep_speedup_decays():
     from repro.apps.reduction import vector_size_sweep
     rows = vector_size_sweep(num_hosts=16, sizes=(128, 2048))
     assert rows[0]["speedup"] > rows[1]["speedup"]
+
+
+@pytest.mark.parametrize("p", [3, 6, 12])
+def test_normal_distributed_rejects_non_power_of_two(p):
+    """Recursive halving cannot scatter over these host counts; the
+    baseline must say so instead of running a reduce-to-one."""
+    from repro.apps.reduction import _build_tree, run_normal_reduction
+
+    with pytest.raises(ValueError, match="power-of-two"):
+        run_normal_reduction(_build_tree(p), _make_vectors(p), DISTRIBUTED)

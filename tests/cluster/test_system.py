@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import ClusterConfig, System, case_configs
+from repro.cluster import BlockArrival, ClusterConfig, System, case_configs
 from repro.switch import ActiveSwitch, BaseSwitch
 
 
@@ -145,15 +145,16 @@ def test_process_on_switch_charges_busy_and_returns_cpu():
 def test_process_on_switch_waits_for_arrival_as_stall():
     system = System(ClusterConfig(active=True))
     env = system.env
-    arrival_end = env.event()
+    arrival = BlockArrival(index=0, offset=0, nbytes=4096,
+                           end_event=env.event(), end_ps=1_000_000)
 
     def trigger(env):
         yield env.timeout(1_000_000)
-        arrival_end.succeed()
+        arrival.end_event.succeed()
 
     def worker(env):
         yield from system.process_on_switch(
-            cycles=100, stall_ps=0, arrival_end_event=arrival_end)
+            cycles=100, stall_ps=0, arrival=arrival)
         return env.now
 
     env.process(trigger(env))

@@ -56,7 +56,7 @@ def _chatter(injector, n=40):
     for i in range(n):
         outcomes.append(injector.link_outcome("a->b"))
         outcomes.append(injector.link_outcome("b->a"))
-        outcomes.append(injector.disk_error("d0", write=i % 2 == 0))
+        outcomes.append(injector.disk_error("d0"))
         outcomes.append(injector.scsi_error("bus"))
         outcomes.append(injector.handler_crash("sw0", 1, i))
         outcomes.append(injector.atb_corruption("sw0"))
@@ -66,7 +66,7 @@ def _chatter(injector, n=40):
 def _noisy_plan():
     return FaultPlan(
         link=LinkFaults(drop_rate=0.2, bit_error_rate=0.1),
-        disk=DiskFaults(read_error_rate=0.3, write_error_rate=0.2),
+        disk=DiskFaults(read_error_rate=0.3),
         scsi=ScsiFaults(error_rate=0.2),
         handler=HandlerFaults(crash_rate=0.2, atb_corruption_rate=0.1),
     )
@@ -96,7 +96,7 @@ def test_component_streams_are_independent():
     outcomes_mixed = []
     for i in range(30):
         # Other components drawing in between must not matter.
-        mixed.disk_error("d0", write=False)
+        mixed.disk_error("d0")
         mixed.scsi_error("bus")
         outcomes_mixed.append(mixed.link_outcome("a->b"))
         mixed.atb_corruption("sw0")
@@ -137,7 +137,7 @@ def test_scripted_attempts_are_per_link():
 def test_scripted_disk_requests():
     plan = FaultPlan(disk=DiskFaults(error_requests=(1,)))
     injector = FaultInjector(plan, seed=0)
-    assert [injector.disk_error("d", False) for _ in range(3)] == [
+    assert [injector.disk_error("d") for _ in range(3)] == [
         False, True, False]
 
 

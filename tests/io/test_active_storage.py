@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import ClusterConfig
+from repro.cluster import ClusterConfig, StorageNode
 from repro.experiments.two_level import compare_filter_placement
 from repro.io.active_storage import ActiveStorageConfig, ActiveStorageNode
 from repro.sim import Environment
@@ -91,17 +91,18 @@ def test_config_validation():
         ActiveStorageConfig(filter_setup_ps=-1)
 
 
-def test_plain_read_write_match_passive_interface():
+def test_plain_read_matches_passive_interface():
     env, node = make_node()
+    assert isinstance(node, StorageNode)
 
     def worker(env):
         yield from node.serve_read(0, 4096)
-        yield from node.serve_write(4096, 4096)
 
     env.process(worker(env))
     env.run()
     assert node.tca.traffic.bytes_out == 4096
-    assert node.tca.traffic.bytes_in == 4096
+    assert node.disks.bytes_read == 4096
+    assert node.scsi.stats.transactions == 1
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The striped burst path's lockstep ledger is exact.
 
-:meth:`DiskArray.read_burst`/``write_burst`` run an equal stripe over
+:meth:`DiskArray.read_burst` runs an equal stripe over
 spindles in lockstep on the lead spindle only, and hand the followers
 their identical deltas lazily.  These properties drive a ``DiskArray``
 and a reference — plain spindles, one :meth:`Disk.access_burst` each
@@ -28,16 +28,16 @@ _GAP_PS = st.one_of(st.just(0), st.integers(1, 10**6), st.integers(1, 10**10))
 
 _OPS = st.lists(st.one_of(
     st.tuples(st.just("burst"), _GAP_PS, st.booleans(),
-              st.integers(0, 10**8), _SIZES, st.booleans()),
+              st.integers(0, 10**8), _SIZES),
     st.tuples(st.just("position"), st.integers(0, 10**6)),
     st.tuples(st.just("check")),
     st.tuples(st.just("direct"), st.integers(0, 15), _GAP_PS,
-              st.integers(0, 10**6), st.integers(1, 4096), st.booleans()),
+              st.integers(0, 10**6), st.integers(1, 4096)),
     st.tuples(st.just("head"), st.integers(0, 15), st.integers(0, 10**6)),
 ), max_size=60)
 
 
-def _reference_burst(disks, at_ps, offset, nbytes, write):
+def _reference_burst(disks, at_ps, offset, nbytes):
     """One ``Disk.access_burst`` per spindle holding a share."""
     share = -(-nbytes // len(disks))
     remaining = nbytes
@@ -47,7 +47,7 @@ def _reference_burst(disks, at_ps, offset, nbytes, write):
         if chunk <= 0:
             break
         data_start, disk_done = disk.access_burst(
-            at_ps, offset // len(disks), chunk, write)
+            at_ps, offset // len(disks), chunk)
         if index == 0:
             started = data_start
         if done is None or disk_done > done:
@@ -75,14 +75,12 @@ def test_array_matches_per_spindle_reference(num_disks, ops):
     for op in ops:
         kind = op[0]
         if kind == "burst":
-            _, gap, sequential, jump, nbytes, write = op
+            _, gap, sequential, jump, nbytes = op
             now += gap
             if not sequential:
                 offset = jump
-            got = (array.write_burst if write else array.read_burst)(
-                now, offset, nbytes)
-            assert got == _reference_burst(reference, now, offset, nbytes,
-                                           write)
+            got = array.read_burst(now, offset, nbytes)
+            assert got == _reference_burst(reference, now, offset, nbytes)
             offset += nbytes
         elif kind == "position":
             array.position_heads(op[1])
@@ -91,13 +89,11 @@ def test_array_matches_per_spindle_reference(num_disks, ops):
         elif kind == "check":
             _assert_same(array, reference, horizon_ps)
         elif kind == "direct":
-            _, index, gap, at_offset, nbytes, write = op
+            _, index, gap, at_offset, nbytes = op
             now += gap
             index %= num_disks
-            assert (array.disks[index].access_burst(now, at_offset, nbytes,
-                                                    write)
-                    == reference[index].access_burst(now, at_offset, nbytes,
-                                                     write))
+            assert (array.disks[index].access_burst(now, at_offset, nbytes)
+                    == reference[index].access_burst(now, at_offset, nbytes))
         else:
             _, index, at_offset = op
             array.disks[index % num_disks].position_head(at_offset)
@@ -107,8 +103,6 @@ def test_array_matches_per_spindle_reference(num_disks, ops):
     assert array.utilization() == (
         sum(ref.busy.utilization() for ref in reference) / num_disks)
     assert array.bytes_read == sum(ref.stats.bytes_read for ref in reference)
-    assert array.bytes_written == sum(ref.stats.bytes_written
-                                      for ref in reference)
 
 
 def test_lockstep_stripe_runs_on_the_lead_spindle_only():
@@ -140,7 +134,7 @@ def test_system_disk_probes_read_fresh_values_mid_run():
         offset = 0
         for nbytes in (24 * 1024, 32 * 1024, 24 * 1024, 1000, 32 * 1024):
             storage.disks.read_burst(env.now, offset, nbytes)
-            _reference_burst(reference, env.now, offset, nbytes, False)
+            _reference_burst(reference, env.now, offset, nbytes)
             offset += nbytes
             snapshot = system.metrics.snapshot("disk")
             for disk, ref in zip(storage.disks.disks, reference):

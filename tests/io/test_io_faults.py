@@ -70,28 +70,6 @@ def test_disk_error_after_bounded_retries():
     assert disk.stats.bytes_read == 0
 
 
-def test_write_errors_use_the_write_rate():
-    env = Environment()
-    disk = Disk(env, "d")
-    disk.attach_faults(_disk_injector(
-        DiskFaults(write_error_rate=1.0, max_retries=0)))
-    failures = []
-
-    def writer(env):
-        try:
-            yield from disk.write(0, 1024)
-        except DiskError as exc:
-            failures.append(exc)
-
-    env.process(writer(env))
-    env.run()
-    assert len(failures) == 1
-    # Reads are unaffected: the read rate is zero.
-    proc = env.process(disk.read(0, 1024))
-    env.run(until=proc)
-    assert disk.stats.bytes_read == 1024
-
-
 def test_disk_array_aggregates_fault_counters():
     env = Environment()
     array = DiskArray(env, num_disks=2)

@@ -69,3 +69,6 @@ def test_fault_injection_runs(capsys):
     out = capsys.readouterr().out
     assert "result byte-correct" in out
     assert "reproduces the run: True" in out
+    injected = [line.split() for line in out.splitlines()
+                if line.strip().startswith("injected_")]
+    assert injected and sum(float(value) for _, value in injected) >= 1

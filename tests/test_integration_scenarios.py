@@ -136,8 +136,7 @@ def test_mixed_block_and_packet_traffic_one_system():
         for _ in range(4):
             arrival = yield from stream.next_block()
             yield from system.process_on_switch(
-                cycles=1000, stall_ps=0,
-                arrival_end_event=arrival.end_event)
+                cycles=1000, stall_ps=0, arrival=arrival)
             yield from stream.done_with(arrival)
 
     def pinger(env):
