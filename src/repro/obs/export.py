@@ -242,7 +242,16 @@ def _csv(header: Sequence, rows: Iterable[Sequence],
     return text
 
 
-_CSV_FIELDS = ("phase", "component", "name", "ts_ps", "dur_ps", "args")
+_CSV_HEADER = ("case", "phase", "component", "name", "ts_ps", "dur_ps",
+               "args")
+
+
+def _trace_rows(traces: TraceInput):
+    for label, collector in _as_mapping(traces).items():
+        for event in collector:
+            yield (label, event.phase, event.component, event.name,
+                   event.ts_ps, event.dur_ps,
+                   json.dumps(dict(event.args), sort_keys=True))
 
 
 def trace_csv(traces: TraceInput) -> str:
@@ -251,18 +260,12 @@ def trace_csv(traces: TraceInput) -> str:
     Columns: ``case, phase, component, name, ts_ps, dur_ps, args`` with
     ``args`` as a compact JSON object.  Rows are in emit order per case.
     """
-    return _csv(("case",) + _CSV_FIELDS, (
-        (label, event.phase, event.component, event.name,
-         event.ts_ps, event.dur_ps,
-         json.dumps(dict(event.args), sort_keys=True))
-        for label, collector in _as_mapping(traces).items()
-        for event in collector))
+    return _csv(_CSV_HEADER, _trace_rows(traces))
 
 
 def write_trace_csv(path: str, traces: TraceInput) -> None:
     """Write :func:`trace_csv` output to ``path``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(trace_csv(traces))
+    _csv(_CSV_HEADER, _trace_rows(traces), path)
 
 
 def benchmark_result_rows(result: BenchmarkResult):
